@@ -42,17 +42,6 @@ N_CONFIGS = 256
 REPEATS = 7
 TOPOLOGY_SIZE = "medium"
 
-#: Study-bench knobs: the full fig4/fig5 grid shape — sizes x workload
-#: conditions, ``STUDY_LOOPS_PER_CELL`` concurrent strategy loops per
-#: cell (the paper grid runs five), each asking ``STUDY_Q`` candidates
-#: per round (the default campaign keeps one evaluation in flight per
-#: loop).
-STUDY_SIZES = ("small", "medium", "large")
-STUDY_LOOPS_PER_CELL = 5
-STUDY_ROUNDS = 40
-STUDY_Q = 1
-STUDY_REPEATS = 5
-
 
 def random_configs(topology, n: int, seed: int = 0) -> list[TopologyConfig]:
     """A deterministic mix of feasible and infeasible configurations."""
@@ -147,119 +136,6 @@ def run_speedup(
     }
 
 
-def run_study_speedup(
-    n_rounds: int = STUDY_ROUNDS,
-    q: int = STUDY_Q,
-    repeats: int = STUDY_REPEATS,
-    sizes: tuple[str, ...] = STUDY_SIZES,
-    loops_per_cell: int = STUDY_LOOPS_PER_CELL,
-) -> dict[str, float]:
-    """Whole-study wall clock: per-loop batch dispatches vs one packed pass.
-
-    A campaign runs one tuning loop per (size, condition, strategy) —
-    the paper grid is ``loops_per_cell`` strategy loops over each of
-    the (size, condition) deployments — and every ask round contributes
-    ``q`` candidates per loop.  The per-cell batch path (what a pool
-    campaign's loops use) pays one :meth:`AnalyticBatchModel.evaluate`
-    dispatch per *loop* per round; the packed path
-    (:meth:`PackedBatchModel.evaluate_cells`) fuses the whole round —
-    every topology, condition, and memory cap — into one masked tensor
-    dispatch, the way the cross-cell broker does in a packed campaign.
-    Both paths are timed on the array pass (no ``MeasuredRun``
-    materialization), and one round is fully materialized and checked
-    run-for-run for bit-compatibility.
-    """
-    from repro.topology_gen.suite import CONDITIONS
-    from repro.storm.packed import PackedBatchModel, pack_cells
-
-    cluster = paper_cluster()
-    cells = [
-        (make_topology(size, condition), cluster)
-        for size in sizes
-        for condition in CONDITIONS
-    ]
-    models = [AnalyticPerformanceModel(topo, clu) for topo, clu in cells]
-    packed = PackedBatchModel(pack_cells(cells))
-    #: loop -> its cell's pack index (strategy loops share the pack).
-    loop_cell = [
-        i for i in range(len(cells)) for _ in range(loops_per_cell)
-    ]
-    cell_indices = [i for i in loop_cell for _ in range(q)]
-
-    rounds = [
-        [
-            random_configs(cells[i][0], q, seed=1009 * r + 31 * k)
-            for k, i in enumerate(loop_cell)
-        ]
-        for r in range(n_rounds)
-    ]
-    flat_rounds = [[c for sub in per_loop for c in sub] for per_loop in rounds]
-
-    # Warm both paths (lazy batch-model builds, parallelism tables).
-    for i, cfgs in zip(loop_cell, rounds[0]):
-        models[i].batch_model.evaluate(cfgs)
-    packed.evaluate_cells(cell_indices, flat_rounds[0])
-
-    inf = float("inf")
-    percell_seconds = inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for per_loop in rounds:
-            for i, cfgs in zip(loop_cell, per_loop):
-                models[i].batch_model.evaluate(cfgs)
-        percell_seconds = min(percell_seconds, time.perf_counter() - t0)
-
-    packed_seconds = inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for flat in flat_rounds:
-            packed.evaluate_cells(cell_indices, flat)
-        packed_seconds = min(packed_seconds, time.perf_counter() - t0)
-
-    packed_runs = packed.evaluate_cells(cell_indices, flat_rounds[0]).runs()
-    mismatches = 0
-    max_abs_dev = 0.0
-    offset = 0
-    for i, cfgs in zip(loop_cell, rounds[0]):
-        cell_runs = models[i].batch_model.evaluate(cfgs).runs()
-        for j, run in enumerate(cell_runs):
-            if run != packed_runs[offset + j]:
-                mismatches += 1
-            max_abs_dev = max(
-                max_abs_dev,
-                abs(run.throughput_tps - packed_runs[offset + j].throughput_tps),
-            )
-        offset += len(cfgs)
-
-    n_loops = len(loop_cell)
-    n_rows = n_loops * q * n_rounds
-    speedup = percell_seconds / packed_seconds if packed_seconds > 0 else inf
-    print(
-        f"study grid {len(cells)} cells x {loops_per_cell} loops x "
-        f"{n_rounds} rounds x {q} cfg ({'/'.join(sizes)}): "
-        f"per-cell {n_rows / percell_seconds:.0f} rows/s  "
-        f"packed{'-jit' if packed.jit_active else ''} "
-        f"{n_rows / packed_seconds:.0f} rows/s  "
-        f"speedup {speedup:.1f}x  mismatches {mismatches}  "
-        f"max|dev| {max_abs_dev:.3g}"
-    )
-    return {
-        "n_cells": len(cells),
-        "n_loops": n_loops,
-        "n_rounds": n_rounds,
-        "q": q,
-        "n_rows": n_rows,
-        "percell_seconds": percell_seconds,
-        "packed_seconds": packed_seconds,
-        "percell_rows_per_s": n_rows / percell_seconds,
-        "packed_rows_per_s": n_rows / packed_seconds,
-        "study_speedup": speedup,
-        "mismatched_runs": mismatches,
-        "max_abs_throughput_deviation": max_abs_dev,
-        "jit_active": float(packed.jit_active),
-    }
-
-
 # ----------------------------------------------------------------------
 # pytest entry points (full acceptance numbers)
 # ----------------------------------------------------------------------
@@ -270,16 +146,6 @@ def test_batch_speedup_and_equality() -> None:
     assert report["max_abs_throughput_deviation"] == 0.0
     assert report["speedup"] >= 10.0, (
         f"batch speedup {report['speedup']:.1f}x is below the 10x target"
-    )
-
-
-def test_study_speedup_and_equality() -> None:
-    """Full study grid: >= 5x over per-cell batching, bit-identical runs."""
-    report = run_study_speedup()
-    assert report["mismatched_runs"] == 0, "packed runs diverged from batch"
-    assert report["max_abs_throughput_deviation"] == 0.0
-    assert report["study_speedup"] >= 5.0, (
-        f"study speedup {report['study_speedup']:.1f}x is below the 5x target"
     )
 
 
@@ -295,60 +161,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="scaled-down equality + speedup check for CI",
     )
-    parser.add_argument(
-        "--study",
-        action="store_true",
-        help="study-level bench: cross-cell packed pass vs per-cell batching",
-    )
     add_harness_args(parser)
     args = parser.parse_args(argv)
-    if args.study:
-        if args.smoke:
-            report = run_study_speedup(
-                n_rounds=8,
-                repeats=2,
-                sizes=("small", "medium"),
-                loops_per_cell=3,
-            )
-        else:
-            report = run_study_speedup()
-        assert report["mismatched_runs"] == 0, "packed runs diverged from batch"
-        assert report["max_abs_throughput_deviation"] == 0.0
-        if args.smoke:
-            # Correctness plus a nonzero win; the 5x acceptance claim is
-            # asserted by the full bench, not on shared CI runners.
-            assert report["study_speedup"] > 1.0, (
-                "packed pass slower than per-cell batching"
-            )
-            print("study smoke ok")
-        emit(
-            "bench_packed_study",
-            smoke=args.smoke,
-            metrics={
-                "study_speedup": make_metric(
-                    report["study_speedup"], higher_is_better=True, unit="x"
-                ),
-                "packed_rows_per_s": make_metric(
-                    report["packed_rows_per_s"],
-                    higher_is_better=True,
-                    unit="rows/s",
-                ),
-                "percell_rows_per_s": make_metric(
-                    report["percell_rows_per_s"],
-                    higher_is_better=True,
-                    unit="rows/s",
-                ),
-                "mismatched_runs": make_metric(
-                    report["mismatched_runs"], higher_is_better=False
-                ),
-            },
-            meta={
-                k: report[k]
-                for k in ("n_cells", "n_loops", "n_rounds", "q", "jit_active")
-            },
-            json_path=args.json,
-        )
-        return 0
     if args.smoke:
         report = run_speedup(n_configs=64, repeats=2, size="small")
         # The smoke check pins correctness (bit-identical runs) and a

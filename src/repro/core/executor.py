@@ -49,14 +49,11 @@ from __future__ import annotations
 import abc
 import inspect
 import pickle
-import threading
 import time
 from collections import deque
 from concurrent import futures as _futures
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
-
-from repro.obs import runtime as obs_runtime
 
 Objective = Callable[[Mapping[str, object]], float]
 
@@ -715,343 +712,6 @@ class ProcessPoolExecutor(_PoolExecutor):
         for ticket in resubmit:
             future = self._submit_to_pool(ticket.config, ticket.seed)
             self._tickets[future] = ticket
-
-
-# ----------------------------------------------------------------------
-# Cross-cell batch broker
-# ----------------------------------------------------------------------
-class CrossCellBroker:
-    """Fuse pending evaluations from many concurrent tuning loops.
-
-    A campaign runs one tuning loop per (topology, condition) cell; each
-    loop's evaluations are tiny analytic passes, so per-cell batching
-    (the :class:`SerialExecutor` fast path) still pays one NumPy
-    dispatch per cell per round.  The broker hands every cell a
-    :class:`BrokerExecutor`; submissions queue per cell, and when every
-    cell with queued work is blocked in ``wait_one`` (or a waiter's
-    linger expires), the broker evaluates *all* queued rows in one
-    packed dispatch (:meth:`repro.storm.packed.PackedBatchModel.
-    evaluate_cells`) and routes each run back to its submitting cell
-    with exact ticket attribution.
-
-    Correctness does not depend on how rows co-batch: packed mechanics
-    are bit-identical to each cell's own engine, and faults/noise are
-    replayed per evaluation from (config, seed) inside the cell's own
-    ``measure_batch`` — so any flush partitioning yields the same
-    values.  Drive broker-backed loops with per-evaluation seeds (the
-    runner does this automatically whenever an executor is present);
-    unseeded noisy objectives would tie draws to flush order.
-
-    Cells whose objective is not packable (no analytic engine) still
-    work: their rows are served through their own ``measure_batch`` or
-    serial calls, just without the fused mechanics pass.  If a cell's
-    batch call fails, that cell's tickets are replayed serially so the
-    failing submission is re-raised with its precise ``_repro_ticket``.
-    """
-
-    def __init__(
-        self, *, engine: str | None = None, linger_s: float = 0.005
-    ) -> None:
-        self._cond = threading.Condition()
-        self._members: list[BrokerExecutor] = []
-        self._pack_cache: dict[int, object] = {}
-        self._model: object | None = None
-        self._stale = True
-        self._engine = engine
-        self._linger_s = linger_s
-
-    # -- membership ----------------------------------------------------
-    def executor(
-        self, objective: Objective, *, max_workers: int = 1
-    ) -> "BrokerExecutor":
-        """Register a cell and return its executor (close() deregisters)."""
-        member = BrokerExecutor(self, objective, max_workers=max_workers)
-        with self._cond:
-            self._members.append(member)
-            self._stale = True
-            self._cond.notify_all()
-        return member
-
-    def _deregister(self, member: "BrokerExecutor") -> None:
-        with self._cond:
-            if member in self._members:
-                self._members.remove(member)
-                self._pack_cache.pop(id(member.objective), None)
-                self._stale = True
-            self._cond.notify_all()
-
-    @staticmethod
-    def _packable(objective: object) -> bool:
-        if not supports_batch_measurement(objective):
-            return False
-        engine = getattr(objective, "engine", None)
-        if engine is None or not callable(
-            getattr(engine, "evaluate_batch", None)
-        ):
-            return False
-        return all(
-            hasattr(engine, attr)
-            for attr in ("topology", "cluster", "calibration", "schedule")
-        )
-
-    def _ensure_model_locked(self) -> None:
-        if not self._stale:
-            return
-        from repro.storm.packed import CellPack, PackedBatchModel, PackedTopologySet
-
-        packs = []
-        for member in self._members:
-            member._cell_index = None
-            objective = member.objective
-            if not self._packable(objective):
-                continue
-            pack = self._pack_cache.get(id(objective))
-            if pack is None:
-                engine = objective.engine  # type: ignore[attr-defined]
-                pack = CellPack(
-                    engine.topology,
-                    engine.cluster,
-                    engine.calibration,
-                    engine.schedule,
-                )
-                self._pack_cache[id(objective)] = pack
-            member._cell_index = len(packs)
-            packs.append(pack)
-        if packs:
-            self._model = PackedBatchModel(
-                PackedTopologySet(packs), engine=self._engine
-            )
-        else:
-            self._model = None
-        self._stale = False
-
-    # -- wait / flush protocol -----------------------------------------
-    def _wait_for(
-        self, member: "BrokerExecutor", timeout: float | None = None
-    ) -> EvaluationOutcome | None:
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        linger_until: float | None = None
-        with self._cond:
-            while True:
-                if member._errors:
-                    raise member._errors.popleft()
-                if member._ready:
-                    return member._ready.popleft()
-                if not member._queue:
-                    raise RuntimeError("no pending evaluations")
-                member._waiting = True
-                try:
-                    now = time.monotonic()
-                    if linger_until is None:
-                        linger_until = now + self._linger_s
-                    if self._should_flush_locked() or now >= linger_until:
-                        self._flush_locked()
-                        continue
-                    if deadline is not None and now >= deadline:
-                        return None
-                    wait_s = linger_until - now
-                    if deadline is not None:
-                        wait_s = min(wait_s, deadline - now)
-                    self._cond.wait(min(wait_s, 0.05))
-                finally:
-                    member._waiting = False
-
-    def _should_flush_locked(self) -> bool:
-        """Flush once every cell with queued work is blocked waiting."""
-        any_queued = False
-        for member in self._members:
-            if member._queue:
-                any_queued = True
-                if not member._waiting:
-                    return False
-        return any_queued
-
-    def _flush_locked(self) -> None:
-        batches = [(m, list(m._queue)) for m in self._members if m._queue]
-        for member, _ in batches:
-            member._queue.clear()
-        if not batches:
-            return
-        self._ensure_model_locked()
-
-        # Fused packed mechanics for every packable row, one dispatch.
-        mechanics: dict[int, list[object]] = {}
-        packed_rows: list[tuple["BrokerExecutor", list[_Ticket], list[object]]] = []
-        if self._model is not None:
-            for member, tickets in batches:
-                if member._cell_index is None:
-                    continue
-                try:
-                    configs = [
-                        member.objective.codec.decode(t.config)  # type: ignore[attr-defined]
-                        for t in tickets
-                    ]
-                except Exception:
-                    continue  # measure_batch will re-raise with attribution
-                packed_rows.append((member, tickets, configs))
-        if packed_rows:
-            cell_indices: list[int] = []
-            configs_flat: list[object] = []
-            times: list[float] = []
-            for member, tickets, configs in packed_rows:
-                assert member._cell_index is not None
-                cell_indices.extend([member._cell_index] * len(configs))
-                configs_flat.extend(configs)
-                times.extend(
-                    [float(getattr(member.objective, "workload_time_s", 0.0))]
-                    * len(configs)
-                )
-            try:
-                evaluation = self._model.evaluate_cells(  # type: ignore[attr-defined]
-                    cell_indices, configs_flat, workload_times_s=times
-                )
-                runs = evaluation.runs()
-            except Exception:
-                runs = None  # degrade: per-cell measure_batch recomputes
-            if runs is not None:
-                offset = 0
-                for member, tickets, configs in packed_rows:
-                    mechanics[id(member)] = runs[offset : offset + len(configs)]
-                    offset += len(configs)
-
-        ctx = obs_runtime.current()
-        ctx.metrics.counter("dispatch.flushes").inc()
-        ctx.metrics.histogram("dispatch.rows").record(
-            float(sum(len(t) for _, t in batches))
-        )
-        ctx.metrics.histogram("dispatch.cells").record(float(len(batches)))
-        for member, tickets in batches:
-            self._serve_member(member, tickets, mechanics.get(id(member)))
-        self._cond.notify_all()
-
-    def _serve_member(
-        self,
-        member: "BrokerExecutor",
-        tickets: list[_Ticket],
-        mechanics_runs: list[object] | None,
-    ) -> None:
-        objective = member.objective
-        if supports_batch_measurement(objective):
-            t0 = time.perf_counter()
-            try:
-                kwargs: dict[str, object] = {
-                    "seeds": [t.seed for t in tickets]
-                }
-                if mechanics_runs is not None:
-                    kwargs["mechanics_runs"] = mechanics_runs
-                runs = objective.measure_batch(  # type: ignore[attr-defined]
-                    [t.config for t in tickets], **kwargs
-                )
-            except Exception:
-                pass  # replay serially below for exact attribution
-            else:
-                member._ready.extend(
-                    _batch_outcomes(tickets, runs, time.perf_counter() - t0)
-                )
-                return
-            obs_runtime.current().metrics.counter("dispatch.serial_replays").inc()
-        for ticket in tickets:
-            try:
-                value, run, seconds = call_objective(
-                    objective, ticket.config, ticket.seed
-                )
-            except Exception as exc:
-                try:
-                    exc._repro_ticket = ticket  # type: ignore[attr-defined]
-                except AttributeError:  # pragma: no cover - exotic exceptions
-                    pass
-                member._errors.append(exc)
-            else:
-                member._ready.append(
-                    EvaluationOutcome(
-                        eval_id=ticket.eval_id,
-                        config=ticket.config,
-                        value=value,
-                        run=run,
-                        seconds=seconds,
-                        turnaround_seconds=time.perf_counter()
-                        - ticket.submitted_at,
-                        seed=ticket.seed,
-                    )
-                )
-
-
-class BrokerExecutor(EvaluationExecutor):
-    """One cell's handle on a :class:`CrossCellBroker`.
-
-    Implements the standard submit/collect contract; the broker decides
-    when submissions actually run (fused with other cells' work).
-    Obtain instances via :meth:`CrossCellBroker.executor`.
-    """
-
-    kind = "broker"
-
-    def __init__(
-        self,
-        broker: CrossCellBroker,
-        objective: Objective,
-        *,
-        max_workers: int = 1,
-    ) -> None:
-        super().__init__(objective, max_workers=max_workers)
-        self._broker = broker
-        self._queue: list[_Ticket] = []
-        self._ready: deque[EvaluationOutcome] = deque()
-        self._errors: deque[Exception] = deque()
-        self._waiting = False
-        self._closed = False
-        self._cell_index: int | None = None
-
-    def submit(
-        self,
-        eval_id: int,
-        config: Mapping[str, object],
-        seed: int | None = None,
-    ) -> None:
-        with self._broker._cond:
-            if self._closed:
-                raise RuntimeError("executor is closed")
-            self._queue.append(_Ticket(eval_id, dict(config), seed))
-            self._broker._cond.notify_all()
-
-    def wait_one(self) -> EvaluationOutcome:
-        outcome = self._broker._wait_for(self, None)
-        assert outcome is not None
-        return outcome
-
-    def try_wait_one(self, timeout: float | None = None) -> EvaluationOutcome | None:
-        return self._broker._wait_for(self, timeout)
-
-    @property
-    def n_pending(self) -> int:
-        with self._broker._cond:
-            return len(self._queue) + len(self._ready) + len(self._errors)
-
-    def abandon(self, eval_id: int) -> bool:
-        with self._broker._cond:
-            for i, ticket in enumerate(self._queue):
-                if ticket.eval_id == eval_id:
-                    del self._queue[i]
-                    return True
-            for i, outcome in enumerate(self._ready):
-                if outcome.eval_id == eval_id:
-                    del self._ready[i]
-                    return True
-        return False
-
-    def cancel_pending(self) -> int:
-        with self._broker._cond:
-            cancelled = len(self._queue)
-            self._queue.clear()
-        return cancelled
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._broker._deregister(self)
 
 
 def make_executor(

@@ -407,7 +407,7 @@ def trace_summary(events: list[Mapping[str, object]]) -> FigureData:
         f"tuning.run wall-clock ({summary.phase_total_seconds:.3f}s)"
     )
     if summary.failures:
-        data.notes.append(f"{summary.failures} failure event(s) in the trace")
+        data.notes.append(f"{summary.failures} failed evaluation(s) in the trace")
     hits = summary.counters.get("objective.cache_hits", 0)
     misses = summary.counters.get("objective.cache_misses", 0)
     if hits or misses:

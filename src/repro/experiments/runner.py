@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.baselines import Optimizer, ParallelLinearAscent
-from repro.core.executor import EvaluationExecutor, make_executor
+from repro.core.executor import make_executor
 from repro.core.history import TuningResult, best_of
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
@@ -228,18 +228,8 @@ def _save_cell_results(store, study, cell, results, lease) -> None:
         store.save_results(study, cell, results)
 
 
-def run_synthetic_cell(
-    spec: SyntheticCellSpec,
-    *,
-    executor_factory: Callable[[StormObjective], EvaluationExecutor] | None = None,
-) -> list[TuningResult]:
-    """Run all passes of one cell (module-level for process pools).
-
-    When ``executor_factory`` is given it is called with each pass's
-    objective and the returned executor drives the loop regardless of
-    ``spec.loop_workers`` — the packed campaign mode uses this to attach
-    every cell to a shared :class:`~repro.core.executor.CrossCellBroker`.
-    """
+def run_synthetic_cell(spec: SyntheticCellSpec) -> list[TuningResult]:
+    """Run all passes of one cell (module-level for process pools)."""
     store = None
     cell_label = f"{spec.condition.label}/{spec.size}/{spec.strategy}"
     if spec.checkpoint_dir:
@@ -286,14 +276,13 @@ def run_synthetic_cell(
             noise=GaussianNoise(MEASUREMENT_NOISE_SIGMA),
             seed=pass_seed + 777,
         )
-        if executor_factory is not None:
-            executor: EvaluationExecutor | None = executor_factory(objective)
-        elif spec.loop_workers > 1:
-            executor = make_executor(
+        executor = (
+            make_executor(
                 spec.loop_executor, objective, max_workers=spec.loop_workers
             )
-        else:
-            executor = None
+            if spec.loop_workers > 1
+            else None
+        )
         try:
             loop = TuningLoop(
                 objective,
@@ -466,15 +455,8 @@ def _sundog_codec(
     )
 
 
-def run_sundog_arm(
-    spec: SundogArmSpec,
-    *,
-    executor_factory: Callable[[StormObjective], EvaluationExecutor] | None = None,
-) -> list[TuningResult]:
-    """Run all passes of one Figure 8 arm.
-
-    ``executor_factory`` behaves as in :func:`run_synthetic_cell`.
-    """
+def run_sundog_arm(spec: SundogArmSpec) -> list[TuningResult]:
+    """Run all passes of one Figure 8 arm."""
     store = None
     cell_label = f"sundog_{spec.label}"
     if spec.checkpoint_dir:
@@ -530,14 +512,13 @@ def run_sundog_arm(
             noise=GaussianNoise(MEASUREMENT_NOISE_SIGMA),
             seed=pass_seed + 131,
         )
-        if executor_factory is not None:
-            executor: EvaluationExecutor | None = executor_factory(objective)
-        elif spec.loop_workers > 1:
-            executor = make_executor(
+        executor = (
+            make_executor(
                 spec.loop_executor, objective, max_workers=spec.loop_workers
             )
-        else:
-            executor = None
+            if spec.loop_workers > 1
+            else None
+        )
         try:
             loop = TuningLoop(
                 objective,

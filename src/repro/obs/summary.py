@@ -32,6 +32,11 @@ PHASE_SPANS = (
 #: The root span one TuningLoop.run() wraps everything in.
 ROOT_SPAN = "tuning.run"
 
+#: The loop's one event per failed observation.  The engine and
+#: objective failure events beneath it are per-layer detail, and a
+#: memo-cache hit replays a failed run without re-emitting them.
+FAILURE_EVENT = "tuning.evaluation_failure"
+
 
 @dataclass
 class SpanStats:
@@ -99,7 +104,7 @@ class TraceSummary:
     phase_seconds: dict[str, float]  # per PHASE_SPANS name
     n_runs: int
     n_steps: int
-    failures: int
+    failures: int  # failed observations (FAILURE_EVENT count)
     counters: dict[str, int]
 
     @property
@@ -137,9 +142,7 @@ def summarize_trace(events: Iterable[Mapping[str, object]]) -> TraceSummary:
     failures = 0
     counters: dict[str, int] = {}
     for record in events:
-        if record.get("type") == "event" and str(record.get("name", "")).endswith(
-            "failure"
-        ):
+        if record.get("type") == "event" and record.get("name") == FAILURE_EVENT:
             failures += 1
         if record.get("type") == "metrics":
             snap = record.get("snapshot")

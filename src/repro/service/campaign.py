@@ -43,7 +43,7 @@ from repro.obs import runtime as obs_runtime
 from repro.topology_gen.suite import CONDITIONS, TopologyCondition
 
 CAMPAIGN_KINDS = ("synthetic", "sundog")
-CAMPAIGN_MODES = ("pool", "fleet", "packed")
+CAMPAIGN_MODES = ("pool", "fleet")
 
 #: Store state-document name under which a fleet campaign publishes its
 #: spec (cell ``""``), so `campaign workers` can attach by store alone.
@@ -297,12 +297,6 @@ class CampaignSpec:
     #: ``fleet``: ``workers`` independent, crash-safe worker processes
     #: lease cells through the store (requires ``store``); see
     #: :mod:`repro.service.queue` and docs/ROBUSTNESS.md.
-    #: ``packed``: every cell runs concurrently as a thread in this
-    #: process and evaluates through one
-    #: :class:`~repro.core.executor.CrossCellBroker`, which fuses the
-    #: whole grid's pending candidates into a handful of packed tensor
-    #: dispatches (requires ``fidelity="analytic"``); see
-    #: docs/PERFORMANCE.md.
     mode: str = "pool"
     #: Fleet lease heartbeat timeout and poisoned-cell claim bound.
     lease_ttl_seconds: float = 30.0
@@ -325,11 +319,6 @@ class CampaignSpec:
             )
         if self.mode == "fleet" and not self.store:
             raise ValueError("fleet mode needs a store the workers share")
-        if self.mode == "packed" and self.fidelity != "analytic":
-            raise ValueError(
-                "packed mode fuses analytic mechanics across cells; "
-                f"it requires fidelity 'analytic', got {self.fidelity!r}"
-            )
         if self.lease_ttl_seconds <= 0:
             raise ValueError("lease_ttl_seconds must be > 0")
         if self.max_claim_attempts < 1:
@@ -351,11 +340,6 @@ class CampaignSpec:
             # with a serial loop so any worker's cell is byte-identical
             # to a serial run of the same cell.
             return max(1, self.workers or self.n_jobs), 1
-        if self.mode == "packed":
-            # Every cell is a thread on the shared broker; in-cell
-            # concurrency comes from ``batch_size`` (the broker
-            # executor's in-flight bound), not from loop workers.
-            return 1, 1
         if self.workers is not None:
             return split_worker_budget(self.workers, self.n_cells)
         return max(1, self.n_jobs), 1
@@ -518,104 +502,10 @@ class CampaignRunner:
     def run(self) -> dict[str, list[TuningResult]]:
         if self.spec.mode == "fleet":
             return self._run_fleet()
-        if self.spec.mode == "packed":
-            return self._run_packed()
         specs, labels, cell_fn = self.cell_specs()
         outcomes = run_cells(
             self.spec.study, specs, labels, cell_fn, self.n_jobs, self.spec.budget
         )
-        self.results = dict(zip(labels, outcomes))
-        return self.results
-
-    # ------------------------------------------------------------------
-    # Packed mode (repro.core.executor.CrossCellBroker)
-    # ------------------------------------------------------------------
-    def _run_packed(self) -> dict[str, list[TuningResult]]:
-        """Run every cell concurrently over one cross-cell broker.
-
-        One thread per cell; each cell's tuning loop evaluates through
-        a :class:`~repro.core.executor.BrokerExecutor`, so whenever the
-        loops block on results the broker fuses every queued candidate
-        — heterogeneous topologies, conditions, and memory caps — into
-        a single packed tensor dispatch
-        (:meth:`repro.storm.packed.PackedBatchModel.evaluate_cells`).
-
-        Values match a pool run of the same spec: packed mechanics are
-        bit-identical to each cell's own analytic engine, and
-        faults/noise replay per evaluation from ``(config, seed)``
-        inside the cell's objective, independent of how rows co-batch.
-        """
-        import threading
-
-        from repro.core.executor import CrossCellBroker
-
-        spec = self.spec
-        specs, labels, cell_fn = self.cell_specs()
-        broker = CrossCellBroker()
-        in_flight = spec.batch_size or 1
-
-        def factory(objective: object) -> object:
-            return broker.executor(objective, max_workers=in_flight)
-
-        ctx = obs_runtime.current()
-        ctx.tracer.event(
-            "study_start",
-            study=spec.study,
-            n_cells=len(specs),
-            budget=asdict(spec.budget),
-            mode="packed",
-        )
-        outcomes: list[list[TuningResult]] = [[] for _ in specs]
-        failures: list[tuple[str, str]] = []
-        failures_lock = threading.Lock()
-
-        def run_cell(i: int, cell_spec: object) -> None:
-            ctx.tracer.event(
-                "cell_start",
-                study=spec.study,
-                cell=labels[i],
-                seed=getattr(cell_spec, "seed", None),
-            )
-            t0 = time.perf_counter()
-            try:
-                outcomes[i] = cell_fn(cell_spec, executor_factory=factory)
-            except Exception as exc:
-                detail = f"{type(exc).__name__}: {exc}"
-                with failures_lock:
-                    failures.append((labels[i], detail))
-                ctx.tracer.event(
-                    "cell_error",
-                    study=spec.study,
-                    cell=labels[i],
-                    error=detail,
-                )
-                return
-            ctx.tracer.event(
-                "cell_finish",
-                study=spec.study,
-                cell=labels[i],
-                seconds=time.perf_counter() - t0,
-                best=max(r.best_value for r in outcomes[i]),
-            )
-
-        threads = [
-            threading.Thread(
-                target=run_cell, args=(i, s), name=f"packed-cell-{i}"
-            )
-            for i, s in enumerate(specs)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        ctx.tracer.event(
-            "study_finish",
-            study=spec.study,
-            n_cells=len(specs),
-            n_failed_cells=len(failures),
-        )
-        if failures:
-            raise StudyError(spec.study, failures)
         self.results = dict(zip(labels, outcomes))
         return self.results
 

@@ -1,9 +1,8 @@
 """Directory-of-JSONL study store (the pre-store layout, formalized).
 
-One directory holds every document, named exactly the way the
-experiment runner and continuous-tuning loop named their files before
-the store layer existed — so an old ``--resume DIR`` directory is a
-valid store and a new one is readable by old eyes:
+One directory holds every document, in the file layout the experiment
+runner and continuous-tuning loop used before the store layer existed,
+so a store directory is readable by eye:
 
 * ``<stem>.<run>.jsonl``   — run checkpoints (``pass0``, ``epoch-0003``)
   in the :mod:`repro.core.checkpoint` record format, atomic-rewritten
@@ -18,12 +17,11 @@ valid store and a new one is readable by old eyes:
 
 ``<stem>`` is :func:`repro.store.base.cell_stem`: the sanitized label
 plus a short blake2b digest of the raw label, so ``a/b`` and ``a.b``
-(identical after sanitizing) can no longer overwrite each other.  Reads
-fall back to the digest-less legacy stem, keeping pre-digest resume
-directories loadable.  An ``store-index.json`` sidecar remembers which
-stem belongs to which (study, raw label) so enumeration and migration
-recover the original addresses; directories without one (legacy) still
-enumerate, with stems standing in for labels.
+(identical after sanitizing) can no longer overwrite each other.  An
+``store-index.json`` sidecar remembers which stem belongs to which
+(study, raw label) so enumeration and migration recover the original
+addresses; directories without one still enumerate, with stems
+standing in for labels.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from repro.store.base import (
     StaleLeaseError,
     StudyStore,
     cell_stem,
-    sanitize_label,
 )
 
 INDEX_VERSION = 1
@@ -86,26 +83,14 @@ class JsonlStudyStore(StudyStore):
     def _join(stem: str, suffix: str) -> str:
         return f"{stem}.{suffix}" if stem else suffix
 
-    def _checkpoint_path(self, cell: str, run: str, *, legacy: bool = False) -> Path:
-        stem = sanitize_label(cell) if legacy else cell_stem(cell)
-        return self.root / self._join(stem, f"{run}.jsonl")
+    def _checkpoint_path(self, cell: str, run: str) -> Path:
+        return self.root / self._join(cell_stem(cell), f"{run}.jsonl")
 
-    def _results_path(self, cell: str, *, legacy: bool = False) -> Path:
-        stem = sanitize_label(cell) if legacy else cell_stem(cell)
-        return self.root / self._join(stem, "done.json")
+    def _results_path(self, cell: str) -> Path:
+        return self.root / self._join(cell_stem(cell), "done.json")
 
-    def _state_path(self, cell: str, name: str, *, legacy: bool = False) -> Path:
-        stem = sanitize_label(cell) if legacy else cell_stem(cell)
-        return self.root / self._join(stem, f"{name}.json")
-
-    def _read(self, fresh: Path, legacy: Path) -> Path | None:
-        """The freshest readable variant of a document, digest-stem
-        first, then the pre-digest legacy name."""
-        if fresh.is_file():
-            return fresh
-        if legacy != fresh and legacy.is_file():
-            return legacy
-        return None
+    def _state_path(self, cell: str, name: str) -> Path:
+        return self.root / self._join(cell_stem(cell), f"{name}.json")
 
     # ------------------------------------------------------------------
     # Index (stem -> study/raw-label, for enumeration and migration)
@@ -157,11 +142,7 @@ class JsonlStudyStore(StudyStore):
     def _load_checkpoint(
         self, study: str, cell: str, run: str
     ) -> TuningCheckpoint | None:
-        path = self._read(
-            self._checkpoint_path(cell, run),
-            self._checkpoint_path(cell, run, legacy=True),
-        )
-        return None if path is None else load_checkpoint(path)
+        return load_checkpoint(self._checkpoint_path(cell, run))
 
     def _save_results(
         self, study: str, cell: str, results: list[TuningResult]
@@ -175,10 +156,8 @@ class JsonlStudyStore(StudyStore):
     def _load_results(
         self, study: str, cell: str
     ) -> list[TuningResult] | None:
-        path = self._read(
-            self._results_path(cell), self._results_path(cell, legacy=True)
-        )
-        if path is None:
+        path = self._results_path(cell)
+        if not path.is_file():
             return None
         try:
             payload = json.loads(path.read_text())
@@ -197,11 +176,8 @@ class JsonlStudyStore(StudyStore):
     def _load_state(
         self, study: str, cell: str, name: str
     ) -> dict[str, object] | None:
-        path = self._read(
-            self._state_path(cell, name),
-            self._state_path(cell, name, legacy=True),
-        )
-        if path is None:
+        path = self._state_path(cell, name)
+        if not path.is_file():
             return None
         try:
             data = json.loads(path.read_text())
@@ -419,12 +395,7 @@ class JsonlStudyStore(StudyStore):
         return self._documents_of(study, cell, "state")
 
     def has_results(self, study: str, cell: str) -> bool:
-        return (
-            self._read(
-                self._results_path(cell), self._results_path(cell, legacy=True)
-            )
-            is not None
-        )
+        return self._results_path(cell).is_file()
 
     # ------------------------------------------------------------------
     def schema_version(self) -> int:

@@ -250,9 +250,6 @@ class AnalyticPerformanceModel:
             run = self._evaluate_mechanics(config, self._point_at(workload_time_s))
             if run.failed:
                 span.set_attribute("failed", True)
-                ctx.tracer.event(
-                    "engine.failure", engine="analytic", reason=run.failure_reason
-                )
             else:
                 span.set_attribute(
                     "limiting_cap", run.details.get("limiting_cap", "")
@@ -290,14 +287,7 @@ class AnalyticPerformanceModel:
         :meth:`evaluate_noise_free` per config.
         """
         batch = self.batch_model.evaluate(configs, workload_time_s=workload_time_s)
-        tracer = obs_runtime.current().tracer
-        runs = batch.runs()
-        for run in runs:
-            if run.failed:
-                tracer.event(
-                    "engine.failure", engine="analytic", reason=run.failure_reason
-                )
-        return runs
+        return batch.runs()
 
     def evaluate_batch(
         self,
@@ -305,7 +295,6 @@ class AnalyticPerformanceModel:
         *,
         seeds: Sequence[int | None] | None = None,
         workload_time_s: float = 0.0,
-        mechanics_runs: Sequence[MeasuredRun] | None = None,
     ) -> list[MeasuredRun]:
         """Batch counterpart of :meth:`evaluate`: mechanics + faults + noise.
 
@@ -316,46 +305,18 @@ class AnalyticPerformanceModel:
         observations are bit-identical.  :class:`~repro.storm.noise.NoNoise`
         short-circuits the per-row draw entirely — the vectorized fast
         path for the common deterministic-objective case.
-
-        ``mechanics_runs`` supplies precomputed noise-free mechanics, one
-        per config — the cross-cell broker uses it to hand over rows it
-        already evaluated through the packed engine.  They must be
-        bit-identical to what :class:`AnalyticBatchModel` would produce
-        (the packed engine guarantees this); faults and noise are still
-        applied per row here so the observation streams do not change.
         """
         if seeds is not None and len(seeds) != len(configs):
             raise ValueError("seeds must match configs in length")
-        if mechanics_runs is not None and len(mechanics_runs) != len(configs):
-            raise ValueError("mechanics_runs must match configs in length")
-        batch = (
-            None
-            if mechanics_runs is not None
-            else self.batch_model.evaluate(configs, workload_time_s=workload_time_s)
-        )
+        batch = self.batch_model.evaluate(configs, workload_time_s=workload_time_s)
         tracer = obs_runtime.current().tracer
         noiseless = type(self.noise) is NoNoise
         out: list[MeasuredRun] = []
         for i, config in enumerate(configs):
             seed = seeds[i] if seeds is not None else None
-
-            def mechanics(index: int = i) -> MeasuredRun:
-                run = (
-                    mechanics_runs[index]
-                    if mechanics_runs is not None
-                    else batch.run(index)
-                )
-                if run.failed:
-                    tracer.event(
-                        "engine.failure",
-                        engine="analytic",
-                        reason=run.failure_reason,
-                    )
-                return run
-
             run = inject_faults(
                 self.faults,
-                mechanics,
+                lambda index=i: batch.run(index),
                 config_key=repr(config),
                 seed=seed,
                 tracer=tracer,

@@ -268,24 +268,28 @@ def inject_faults(
 
     ``run_mechanics`` is the engine's noise-free evaluation thunk; it
     is only invoked when no preempting fault fires, so hung/crashed
-    windows cost nothing but the (intentional) hang sleep.  Preempting
-    faults emit the same ``engine.failure`` event the engines emit for
-    mechanical failures, so they aggregate identically in
-    ``obs summary``.
+    windows cost nothing but the (intentional) hang sleep.  Every
+    failed run, preempted or mechanically infeasible, emits exactly one
+    ``engine.failure`` event here.  This hook is the deployment path
+    only: noise-free reference evaluations (diagnostics pools, drift
+    optima, sensitivity sweeps) call the engine's ``evaluate_noise_free``
+    directly and emit none.
     """
     if plan is None or not plan.active:
-        return run_mechanics()
-    decision = plan.decide(seed, key=config_key)
-    if decision.any:
-        tracer.event(
-            "engine.fault_injected",
-            engine=engine,
-            faults=",".join(decision.labels()),
-        )
-    preempted = plan.preempt(decision)
-    if preempted is not None:
-        tracer.event(
-            "engine.failure", engine=engine, reason=preempted.failure_reason
-        )
-        return preempted
-    return plan.degrade(run_mechanics(), decision)
+        run = run_mechanics()
+    else:
+        decision = plan.decide(seed, key=config_key)
+        if decision.any:
+            tracer.event(
+                "engine.fault_injected",
+                engine=engine,
+                faults=",".join(decision.labels()),
+            )
+        preempted = plan.preempt(decision)
+        if preempted is not None:
+            run = preempted
+        else:
+            run = plan.degrade(run_mechanics(), decision)
+    if run.failed:
+        tracer.event("engine.failure", engine=engine, reason=run.failure_reason)
+    return run

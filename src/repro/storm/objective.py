@@ -146,16 +146,6 @@ class StormObjective:
     def __setstate__(self, state: dict[str, object]) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-        # Checkpoints from before the bounded cache: upgrade in place.
-        if not isinstance(self._cache, OrderedDict):
-            self._cache = OrderedDict(self._cache)
-        if not hasattr(self, "cache_max_entries"):
-            self.cache_max_entries = 50_000
-        if not hasattr(self, "cache_evictions"):
-            self.cache_evictions = 0
-        if not hasattr(self, "schedule"):
-            self.schedule = None
-            self.workload_time_s = 0.0
 
     # ------------------------------------------------------------------
     # Memo cache (LRU); callers hold self._lock.
@@ -248,7 +238,6 @@ class StormObjective:
         params_list: Sequence[Mapping[str, object]],
         *,
         seeds: Sequence[int | None] | None = None,
-        mechanics_runs: Sequence[MeasuredRun] | None = None,
     ) -> list[MeasuredRun]:
         """Measure many proposals in one pass; returns runs in order.
 
@@ -260,11 +249,6 @@ class StormObjective:
         supports it.  Duplicate proposals within a batch are evaluated
         once and counted as a miss then hits, exactly as a serial loop
         over the memo cache would.
-
-        ``mechanics_runs`` optionally supplies precomputed noise-free
-        mechanics, one per proposal (the cross-cell broker's fused
-        packed dispatch); cache-hit rows ignore theirs, miss rows hand
-        theirs to the engine so no per-cell mechanics pass runs at all.
         """
         params_list = list(params_list)
         n = len(params_list)
@@ -272,8 +256,6 @@ class StormObjective:
             seeds = list(seeds)
             if len(seeds) != n:
                 raise ValueError("seeds must match params_list in length")
-        if mechanics_runs is not None and len(mechanics_runs) != n:
-            raise ValueError("mechanics_runs must match params_list in length")
         if n == 0:
             return []
         ctx = obs_runtime.current()
@@ -332,14 +314,14 @@ class StormObjective:
                     self.n_engine_evaluations += len(misses)
                 engine_batch = getattr(self.engine, "evaluate_batch", None)
                 if callable(engine_batch):
-                    kwargs: dict[str, object] = {"seeds": miss_seeds}
                     if self.schedule is not None:
-                        kwargs["workload_time_s"] = self.workload_time_s
-                    if mechanics_runs is not None:
-                        kwargs["mechanics_runs"] = [
-                            mechanics_runs[i] for i in misses
-                        ]
-                    runs = engine_batch(configs, **kwargs)
+                        runs = engine_batch(
+                            configs,
+                            seeds=miss_seeds,
+                            workload_time_s=self.workload_time_s,
+                        )
+                    else:
+                        runs = engine_batch(configs, seeds=miss_seeds)
                 else:
                     runs = [
                         self._engine_evaluate(

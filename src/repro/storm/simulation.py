@@ -270,9 +270,6 @@ class DiscreteEventSimulator:
             run = self._evaluate_mechanics(config, workload_time_s)
             if run.failed:
                 span.set_attribute("failed", True)
-                ctx.tracer.event(
-                    "engine.failure", engine="des", reason=run.failure_reason
-                )
             else:
                 span.set_attribute(
                     "completed_batches", run.details.get("completed_batches", 0)

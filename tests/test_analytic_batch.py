@@ -6,7 +6,8 @@ is required to be *bit-compatible* with the scalar engine — equal
 every bundled topology, contention condition, and failure regime.
 These tests pin that contract (hypothesis-style over random
 configurations), the fault/noise identity of
-:meth:`StormObjective.measure_batch`, and the bounded LRU memo cache.
+:meth:`StormObjective.measure_batch`, the bounded LRU memo cache, and
+the screener's one-model-per-deployment reuse.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from hypothesis import strategies as st
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
 from repro.experiments.runner import make_synthetic_optimizer
 from repro.storm.analytic import AnalyticPerformanceModel, CalibrationParams
-from repro.storm.analytic_batch import AnalyticBatchModel, make_analytic_screener
+from repro.storm.analytic_batch import (
+    AnalyticBatchModel,
+    _screener_model,
+    make_analytic_screener,
+)
 from repro.storm.cluster import paper_cluster, small_test_cluster
 from repro.storm.config import TopologyConfig
 from repro.storm.faults import FaultPlan, FaultSpec
@@ -154,6 +159,49 @@ class TestBatchScalarEquivalence:
         (batched,) = model.evaluate_noise_free_batch([config])
         assert scalar == batched
 
+    def test_memory_cap_exactly_at_the_boundary(self):
+        """budget == task_mb + data_mb: the strict `>` check must agree.
+
+        ``small_test_cluster`` machines carry 4096 MB (a power of two),
+        so ``usable_memory_fraction = usage / 4096`` makes the budget
+        *exactly* equal to the usage in IEEE-754 — the batch engine must
+        reproduce the scalar engine's comparison bitwise on both sides.
+        """
+        topology = make_topology("small")
+        cluster = small_test_cluster()
+        config = TopologyConfig(
+            parallelism_hints={name: 4 for name in topology},
+            batch_size=5_000,
+            batch_parallelism=2,
+            worker_threads=4,
+            receiver_threads=2,
+            ackers=4,
+            num_workers=cluster.n_machines,
+        )
+        probe = AnalyticBatchModel(topology, cluster, MEMORY_EDGE_CAL).evaluate(
+            [config]
+        )
+        usage = float(probe._task_mb[0] + probe._data_mb[0])
+        assert 0.0 < usage <= 4096.0
+
+        at_boundary = CalibrationParams(
+            batch_timeout_ms=1e12,
+            per_task_memory_mb=64.0,
+            usable_memory_fraction=usage / 4096.0,
+        )
+        below = CalibrationParams(
+            batch_timeout_ms=1e12,
+            per_task_memory_mb=64.0,
+            usable_memory_fraction=float(np.nextafter(usage, 0.0)) / 4096.0,
+        )
+        for cal, expect_failed in ((at_boundary, False), (below, True)):
+            scalar = AnalyticPerformanceModel(topology, cluster, calibration=cal)
+            evaluation = AnalyticBatchModel(topology, cluster, cal).evaluate(
+                [config]
+            )
+            assert bool(evaluation.failed_memory[0]) is expect_failed
+            assert evaluation.runs() == [scalar.evaluate_noise_free(config)]
+
     def test_empty_batch(self):
         model = _property_model()
         assert model.evaluate_noise_free_batch([]) == []
@@ -280,19 +328,6 @@ class TestBoundedMemoCache:
         assert info["size"] == 3
         assert info["evictions"] == 3
 
-    def test_legacy_pickle_upgrades_in_place(self):
-        """Checkpoints written before the bounded cache still load."""
-        objective = _objective()
-        state = objective.__getstate__()
-        state["_cache"] = dict(state["_cache"])
-        state.pop("cache_max_entries")
-        state.pop("cache_evictions")
-        revived = StormObjective.__new__(StormObjective)
-        revived.__setstate__(state)
-        assert revived.cache_max_entries == 50_000
-        assert revived.cache_evictions == 0
-        revived.measure({"uniform_hint": 2})  # cache still functions
-
     def test_round_trips_through_pickle(self):
         objective = _objective(cache_max_entries=7)
         objective.measure({"uniform_hint": 2})
@@ -361,3 +396,35 @@ class TestBatchModelDirect:
                 assert (
                     run.details["limiting_cap"] == batch.limiting_cap[i]
                 )
+
+
+class TestScreenerModelReuse:
+    """Satellite regression: one AnalyticBatchModel per deployment."""
+
+    def test_screeners_share_one_model_and_its_tables(self):
+        topology = make_topology("small")
+        cluster = default_cluster()
+        _, codec = make_synthetic_optimizer(
+            "bo", topology, cluster, SYNTHETIC_BASE_CONFIG, 8, seed=0
+        )
+        model = _screener_model(topology, cluster, None)
+        assert _screener_model(topology, cluster, None) is model
+
+        screen_one = make_analytic_screener(codec, topology, cluster)
+        rng = np.random.default_rng(0)
+        candidates = rng.random((16, codec.space.dim))
+        screen_one(candidates)
+        constructions = model.table_constructions
+        assert constructions >= 1
+
+        # A second screener for the same deployment must not rebuild
+        # the grouping tables — same shared model, same table count.
+        screen_two = make_analytic_screener(codec, topology, cluster)
+        screen_two(candidates)
+        assert _screener_model(topology, cluster, None) is model
+        assert model.table_constructions == constructions
+
+    def test_distinct_deployments_get_distinct_models(self):
+        a = _screener_model(make_topology("small"), default_cluster(), None)
+        b = _screener_model(make_topology("small"), default_cluster(), None)
+        assert a is not b  # different objects are different cache keys

@@ -346,6 +346,43 @@ class TestInstrumentedLoop:
         )
         assert "exceed" in failure["attrs"]["reason"]
 
+    def test_summary_failures_count_failed_observations(self, tmp_path):
+        """Infeasible diagnostics reference-pool points are not failures.
+
+        A 2 s batch timeout makes part of the space infeasible, so both
+        the BO run and the tracker's noise-free reference pool hit
+        failed deployments; only the former may reach the trace.
+        """
+        from repro.core.diagnostics import REFERENCE_POOL
+        from repro.storm.analytic import CalibrationParams
+
+        objective, optimizer = _tiny_setup(
+            calibration=CalibrationParams(batch_timeout_ms=2_000.0)
+        )
+        path = tmp_path / "run.jsonl"
+        with obs.session(jsonl_path=path):
+            result = TuningLoop(
+                objective, optimizer, max_steps=10, diagnostics=True
+            ).run()
+        events = obs.read_jsonl(path)
+        n_failed = sum(o.failed for o in result.observations)
+        assert n_failed > 0
+
+        codec = objective.codec
+        pool = codec.space.latin_hypercube(
+            REFERENCE_POOL, np.random.default_rng(0)
+        )
+        configs = [
+            codec.decode(codec.space.decode(np.asarray(point)))
+            for point in codec.space.round_trip_batch(pool)
+        ]
+        pool_runs = objective.engine.evaluate_noise_free_batch(configs)
+        assert any(run.failed for run in pool_runs)
+
+        assert obs.summarize_trace(events).failures == n_failed
+        names = [e.get("name") for e in events if e["type"] == "event"]
+        assert names.count("engine.failure") == names.count("objective.failure")
+
 
 # ----------------------------------------------------------------------
 # Progress sink

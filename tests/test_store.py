@@ -220,20 +220,6 @@ class TestJsonlBackend:
         # sidecar stays the literal continuous.json.
         assert "continuous.json" in names
 
-    def test_legacy_digestless_files_still_load(self, tmp_path):
-        store = JsonlStudyStore(tmp_path)
-        store.save_checkpoint("s", "a/b", "pass0", _checkpoint(4))
-        store.save_results("s", "a/b", _results())
-        stem = cell_stem("a/b")
-        legacy = sanitize_label("a/b")
-        for suffix in ("pass0.jsonl", "done.json"):
-            (tmp_path / f"{stem}.{suffix}").rename(
-                tmp_path / f"{legacy}.{suffix}"
-            )
-        assert store.load_checkpoint("s", "a/b", "pass0").completed == 4
-        assert store.load_results("s", "a/b") is not None
-        assert store.has_results("s", "a/b")
-
     def test_index_version_mismatch_raises(self, tmp_path):
         (tmp_path / INDEX_NAME).write_text(
             json.dumps({"version": INDEX_VERSION + 1, "cells": {}})
