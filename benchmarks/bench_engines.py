@@ -9,7 +9,6 @@ import pytest
 
 from repro.storm.analytic import AnalyticPerformanceModel
 from repro.storm.cluster import paper_cluster
-from repro.storm.config import TopologyConfig
 from repro.storm.simulation import DiscreteEventSimulator
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG
 from repro.topology_gen.suite import make_topology

@@ -43,6 +43,14 @@ class Parameter(abc.ABC):
     #: True when the decoded values live on a discrete grid.
     is_discrete: bool = False
 
+    def from_unit_batch(self, u: np.ndarray) -> np.ndarray:
+        """Vectorized ``from_unit`` over an array of coords.
+
+        Subclasses override with closed forms that repeat ``from_unit``'s
+        exact float operations; this fallback loops.
+        """
+        return np.array([self.from_unit(float(ui)) for ui in np.asarray(u)])
+
     def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
         """Vectorized ``to_unit(from_unit(u))`` over an array of coords.
 
@@ -65,6 +73,26 @@ def _clip_unit(u: float) -> float:
     if math.isnan(u):
         raise ValueError("unit coordinate is NaN")
     return min(1.0, max(0.0, float(u)))
+
+
+def _clip_unit_batch(u: np.ndarray) -> np.ndarray:
+    """:func:`_clip_unit` over an array: the same NaN error, then a clip."""
+    u = np.asarray(u, dtype=float)
+    if np.isnan(u).any():
+        raise ValueError("unit coordinate is NaN")
+    return np.clip(u, 0.0, 1.0)
+
+
+def _exp_log_scale(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``from_unit``'s log-scale ``math.exp`` over clipped coords.
+
+    ``np.exp`` may differ from ``math.exp`` by one ulp, enough to flip
+    an integer rounding, so the exponential stays ``math.exp`` per
+    element; the affine part is elementwise and therefore exact.
+    """
+    log_lo = math.log(low)
+    z = log_lo + u * (math.log(high) - log_lo)
+    return np.fromiter(map(math.exp, z.tolist()), dtype=float, count=z.size)
 
 
 class FloatParameter(Parameter):
@@ -101,10 +129,16 @@ class FloatParameter(Parameter):
             )
         return self.low + u * (self.high - self.low)
 
+    def from_unit_batch(self, u: np.ndarray) -> np.ndarray:
+        u = _clip_unit_batch(u)
+        if self.log:
+            return _exp_log_scale(u, self.low, self.high)
+        return self.low + u * (self.high - self.low)
+
     def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
         # from_unit and to_unit are exact inverses on [0, 1] (the log
         # transform cancels), so the snap reduces to a clip.
-        return np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        return _clip_unit_batch(u)
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.from_unit(rng.random())
@@ -168,8 +202,17 @@ class IntParameter(Parameter):
         idx = int(min(self.n_values - 1, math.floor(u * self.n_values)))
         return self.low + idx
 
+    def from_unit_batch(self, u: np.ndarray) -> np.ndarray:
+        u = _clip_unit_batch(u)
+        if self.log:
+            raw = _exp_log_scale(u, self.low, self.high)
+            # round() is ties-to-even, as is np.rint.
+            return np.clip(np.rint(raw), self.low, self.high).astype(np.int64)
+        idx = np.minimum(self.n_values - 1, np.floor(u * self.n_values))
+        return self.low + idx.astype(np.int64)
+
     def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        u = _clip_unit_batch(u)
         if self.log:
             log_lo, log_hi = math.log(self.low), math.log(self.high)
             raw = np.exp(log_lo + u * (log_hi - log_lo))
@@ -227,8 +270,18 @@ class CategoricalParameter(Parameter):
         idx = int(min(len(self.choices) - 1, math.floor(u * len(self.choices))))
         return self.choices[idx]
 
+    def from_unit_batch(self, u: np.ndarray) -> np.ndarray:
+        """The chosen objects themselves, in an object array."""
+        u = _clip_unit_batch(u)
+        n = len(self.choices)
+        idx = np.minimum(n - 1, np.floor(u * n)).astype(np.intp)
+        choices = np.empty(n, dtype=object)
+        for i, choice in enumerate(self.choices):
+            choices[i] = choice
+        return choices[idx]
+
     def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        u = _clip_unit_batch(u)
         n = len(self.choices)
         idx = np.minimum(n - 1, np.floor(u * n))
         return (idx + 0.5) / n
@@ -323,6 +376,19 @@ class ParameterSpace:
             raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
         return {p.name: p.from_unit(float(u)) for p, u in zip(self.parameters, x)}
 
+    def decode_batch(self, X: np.ndarray) -> dict[str, np.ndarray]:
+        """Decode an ``(n, dim)`` batch column by column.
+
+        ``decode_batch(X)[name][i] == decode(X[i])[name]`` exactly, but
+        no per-row dict is built: one array per parameter (int64 for
+        integers, float64 for floats, object for categoricals).  A NaN
+        coordinate raises the scalar path's ``ValueError``.
+        """
+        X = self._check_batch(X)
+        return {
+            p.name: p.from_unit_batch(X[:, d]) for d, p in enumerate(self.parameters)
+        }
+
     def round_trip(self, x: np.ndarray) -> np.ndarray:
         """Snap a unit point onto the grid of representable configs."""
         return self.encode(self.decode(x))
@@ -334,13 +400,17 @@ class ParameterSpace:
         per row — the acquisition optimizer snaps hundreds of candidate
         points per step, so this must not loop over rows in Python.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dim:
-            raise ValueError(f"expected shape (n, {self.dim}), got {X.shape}")
+        X = self._check_batch(X)
         out = np.empty_like(X)
         for d, p in enumerate(self.parameters):
             out[:, d] = p.round_trip_unit(X[:, d])
         return out
+
+    def _check_batch(self, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.dim:
+            raise ValueError(f"expected shape (n, {self.dim}), got {X.shape}")
+        return X
 
     def validate(self, config: Mapping[str, object]) -> None:
         for p in self.parameters:

@@ -3,11 +3,13 @@
 :class:`AnalyticBatchModel` evaluates N configurations of one topology
 in a single NumPy pass: all topology-dependent structures (operator
 order, layer map, grouping-skew tables, network demand coefficients)
-are precomputed once in ``__init__``, and ``evaluate`` turns a list of
-:class:`~repro.storm.config.TopologyConfig` into an ``(N, D)`` hint
-matrix plus per-config scalar vectors, then computes the per-operator
-effective-cost matrix, efficiency/parallelism vectors, the six capacity
-caps, and the bottleneck argmax for every row at once.
+are precomputed once in ``__init__``, and ``evaluate`` takes a
+:class:`~repro.storm.config.ConfigBatch` (an ``(N, D)`` hint matrix plus
+per-config scalar vectors, decoded straight from a unit-cube matrix or
+built from a list of :class:`~repro.storm.config.TopologyConfig`), then
+computes the per-operator effective-cost matrix, efficiency/parallelism
+vectors, the six capacity caps, and the bottleneck argmax for every row
+at once.
 
 Bit-compatibility contract
 --------------------------
@@ -35,7 +37,6 @@ Two deliberate non-vectorizations keep this exact:
 from __future__ import annotations
 
 import math
-import operator as operator_mod
 import threading
 import time
 from collections import OrderedDict
@@ -47,17 +48,11 @@ from repro.obs import runtime as obs_runtime
 from repro.storm.acker import AckerModel
 from repro.storm.analytic import CalibrationParams, CapacityBreakdown
 from repro.storm.cluster import ClusterSpec
-from repro.storm.config import TopologyConfig
+from repro.storm.config import ConfigBatch, TopologyConfig
 from repro.storm.grouping import Grouping, effective_parallelism, remote_fraction
 from repro.storm.metrics import MeasuredRun
 from repro.storm.schedule import WorkloadPoint, WorkloadSchedule
 from repro.storm.topology import Topology
-
-#: One C-level attrgetter call per config instead of four attribute
-#: probes from Python (see :meth:`AnalyticBatchModel._extract`).
-_CONFIG_SCALARS = operator_mod.attrgetter(
-    "batch_size", "batch_parallelism", "worker_threads", "receiver_threads"
-)
 
 #: Cap names in :class:`CapacityBreakdown` insertion order — ``argmin``
 #: over rows stacked in this order picks the same cap as the scalar
@@ -311,18 +306,26 @@ class AnalyticBatchModel:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    @property
+    def order(self) -> tuple[str, ...]:
+        """Operator order of the hint columns a :class:`ConfigBatch` needs."""
+        return self._order
+
     def evaluate(
         self,
-        configs: Sequence[TopologyConfig],
+        configs: ConfigBatch | Sequence[TopologyConfig],
         *,
         workload_time_s: float = 0.0,
     ) -> BatchEvaluation:
         """Vectorized noise-free mechanics for all ``configs`` at once.
 
-        ``workload_time_s`` samples the model's
-        :class:`~repro.storm.schedule.WorkloadSchedule` (if any) at that
-        offset; all N rows see the same workload point, mirroring the
-        scalar engine evaluated N times at the same instant.
+        ``configs`` is a :class:`ConfigBatch` laid out in :attr:`order`
+        or a sequence of :class:`TopologyConfig` (converted with
+        :meth:`ConfigBatch.from_configs`).  ``workload_time_s`` samples
+        the model's :class:`~repro.storm.schedule.WorkloadSchedule` (if
+        any) at that offset; all N rows see the same workload point,
+        mirroring the scalar engine evaluated N times at the same
+        instant.
         """
         ctx = obs_runtime.current()
         started = time.perf_counter()
@@ -332,7 +335,17 @@ class AnalyticBatchModel:
         with ctx.tracer.span(
             "engine.analytic.evaluate_batch", n_configs=len(configs)
         ) as span:
-            result = self._mechanics(list(configs), point)
+            if isinstance(configs, ConfigBatch):
+                if configs.order != self._order:
+                    raise ValueError(
+                        "ConfigBatch operator order does not match the topology"
+                    )
+                batch = configs
+            else:
+                batch = ConfigBatch.from_configs(
+                    configs, self._order, self._default_hints
+                )
+            result = self._mechanics(batch, point)
             span.set_attribute("n_failed", int(result.failed.sum()))
         seconds = time.perf_counter() - started
         ctx.metrics.histogram("engine.batch_size").record(float(len(configs)))
@@ -341,7 +354,7 @@ class AnalyticBatchModel:
 
     def throughputs(
         self,
-        configs: Sequence[TopologyConfig],
+        configs: ConfigBatch | Sequence[TopologyConfig],
         *,
         workload_time_s: float = 0.0,
     ) -> np.ndarray:
@@ -371,58 +384,6 @@ class AnalyticBatchModel:
             self.table_constructions += 1
         return table
 
-    def _extract(
-        self, configs: list[TopologyConfig]
-    ) -> tuple[np.ndarray, ...]:
-        """Config list -> raw hint matrix + per-config scalar vectors."""
-        n = len(configs)
-        d = len(self._order)
-        # Fast path: configs usually hint every operator, so one
-        # C-level itemgetter call per row beats d dict.get calls.
-        hints = None
-        if d > 1:
-            get_hints = operator_mod.itemgetter(*self._order)
-            try:
-                hints = np.array(
-                    [get_hints(c.parallelism_hints) for c in configs],
-                    dtype=np.int64,
-                ).reshape(n, d)
-            except (KeyError, TypeError, ValueError):
-                hints = None
-        if hints is None:
-            hints = np.empty((n, d), dtype=np.int64)
-            for i, config in enumerate(configs):
-                ph = config.parallelism_hints
-                row = hints[i]
-                for j, name in enumerate(self._order):
-                    hint = ph.get(name)
-                    row[j] = self._default_hints[j] if hint is None else hint
-        scalars = np.array(
-            [_CONFIG_SCALARS(c) for c in configs], dtype=np.int64
-        ).reshape(n, 4)
-        batch_size = scalars[:, 0]
-        batch_parallelism = scalars[:, 1]
-        worker_threads = scalars[:, 2]
-        receiver_threads = scalars[:, 3]
-        raw_caps = [c.max_tasks for c in configs]
-        has_cap = np.array([cap is not None for cap in raw_caps], dtype=bool)
-        max_tasks = np.array(
-            [0 if cap is None else cap for cap in raw_caps], dtype=np.int64
-        )
-        n_ackers = np.fromiter(
-            (c.effective_ackers() for c in configs), dtype=np.int64, count=n
-        )
-        return (
-            hints,
-            max_tasks,
-            has_cap,
-            batch_size,
-            batch_parallelism,
-            worker_threads,
-            receiver_threads,
-            n_ackers,
-        )
-
     def _normalize_hints(
         self, hints: np.ndarray, max_tasks: np.ndarray, has_cap: np.ndarray
     ) -> np.ndarray:
@@ -445,13 +406,13 @@ class AnalyticBatchModel:
 
     def _mechanics(
         self,
-        configs: list[TopologyConfig],
+        batch: ConfigBatch,
         point: WorkloadPoint | None = None,
     ) -> BatchEvaluation:
         cal = self.calibration
         cluster = self.cluster
         machine = cluster.machine
-        n = len(configs)
+        n = len(batch)
         d = len(self._order)
         if n == 0:
             empty = np.empty(0)
@@ -480,17 +441,12 @@ class AnalyticBatchModel:
                 batch_timeout_ms=cal.batch_timeout_ms,
             )
 
-        (
-            raw_hints,
-            max_tasks,
-            has_cap,
-            batch_size,
-            batch_parallelism,
-            worker_threads,
-            receiver_threads,
-            n_ackers,
-        ) = self._extract(configs)
-        hints = self._normalize_hints(raw_hints, max_tasks, has_cap)
+        batch_size = batch.batch_size
+        batch_parallelism = batch.batch_parallelism
+        worker_threads = batch.worker_threads
+        receiver_threads = batch.receiver_threads
+        n_ackers = batch.n_ackers
+        hints = self._normalize_hints(batch.hints, batch.max_tasks, batch.has_cap)
 
         total_tasks = hints.sum(axis=1)
         total_executors = total_tasks + n_ackers
@@ -770,8 +726,9 @@ def make_analytic_screener(
     it as ``BayesianOptimizer(..., screener=...)``.
 
     ``codec`` is any :class:`repro.storm.spaces.ConfigCodec`; its
-    ``space`` decodes rows to parameter dicts and its ``decode`` maps
-    those to :class:`TopologyConfig`.
+    ``decode_batch`` turns the whole matrix into one
+    :class:`ConfigBatch` (column-wise for the codecs with a closed form,
+    row by row otherwise).
 
     Screeners for the same (topology, cluster, calibration) share one
     :class:`AnalyticBatchModel`, so repeat passes reuse the
@@ -779,11 +736,10 @@ def make_analytic_screener(
     round.
     """
     batch_model = _screener_model(topology, cluster, calibration)
-    space = codec.space  # type: ignore[attr-defined]
+    order = batch_model.order
 
     def screen(candidates: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(candidates, dtype=float))
-        configs = [codec.decode(space.decode(row)) for row in rows]  # type: ignore[attr-defined]
-        return ~batch_model.evaluate(configs).failed
+        batch = codec.decode_batch(candidates, order)  # type: ignore[attr-defined]
+        return ~batch_model.evaluate(batch).failed
 
     return screen

@@ -18,8 +18,11 @@ normalized against it exactly as described in §V-A.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.storm.topology import Topology
 
@@ -155,6 +158,169 @@ class TopologyConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "TopologyConfig":
         return cls(**data)  # type: ignore[arg-type]
+
+
+#: One C-level attrgetter call per config instead of four attribute
+#: probes from Python (see :meth:`ConfigBatch.from_configs`).
+_CONFIG_SCALARS = operator.attrgetter(
+    "batch_size", "batch_parallelism", "worker_threads", "receiver_threads"
+)
+
+
+@dataclass(frozen=True, eq=False)
+class ConfigBatch:
+    """N configurations of one topology as the batch engine's arrays.
+
+    Row ``i`` holds what :class:`TopologyConfig` ``i`` contributes to a
+    deployment: ``hints[i, j]`` is the raw hint of operator ``order[j]``
+    (defaults filled in), ``max_tasks[i]`` its cap where ``has_cap[i]``,
+    and ``n_ackers[i]`` its :meth:`TopologyConfig.effective_ackers`.
+    Codecs build one straight from a unit-cube matrix
+    (:meth:`repro.storm.spaces.ConfigCodec.decode_batch`) without a
+    per-row ``TopologyConfig``; construction runs the same domain checks
+    as ``TopologyConfig`` and raises the same ``ValueError`` for the
+    first offending row.
+    """
+
+    order: tuple[str, ...]
+    hints: np.ndarray
+    max_tasks: np.ndarray
+    has_cap: np.ndarray
+    batch_size: np.ndarray
+    batch_parallelism: np.ndarray
+    worker_threads: np.ndarray
+    receiver_threads: np.ndarray
+    n_ackers: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, d = self.hints.shape
+        if d != len(self.order):
+            raise ValueError(f"hints have {d} columns for {len(self.order)} operators")
+        for name in (
+            "max_tasks", "has_cap", "batch_size", "batch_parallelism",
+            "worker_threads", "receiver_threads", "n_ackers",
+        ):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},)")
+        # TopologyConfig.__post_init__'s checks, in its order.
+        checks = (
+            (self.hints < 1).any(axis=1),
+            self.has_cap & (self.max_tasks < 1),
+            self.batch_size < 1,
+            self.batch_parallelism < 1,
+            self.worker_threads < 1,
+            self.receiver_threads < 1,
+            self.n_ackers < 0,
+        )
+        bad = np.logical_or.reduce(checks)
+        if bad.any():
+            self._raise_for_row(int(np.argmax(bad)))
+
+    def _raise_for_row(self, i: int) -> None:
+        for j, name in enumerate(self.order):
+            hint = int(self.hints[i, j])
+            if hint < 1:
+                raise ValueError(f"hint for {name!r} must be >= 1, got {hint}")
+        if self.has_cap[i] and self.max_tasks[i] < 1:
+            raise ValueError("max_tasks must be >= 1")
+        if self.batch_size[i] < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.batch_parallelism[i] < 1:
+            raise ValueError("batch_parallelism must be >= 1")
+        if self.worker_threads[i] < 1:
+            raise ValueError("worker_threads must be >= 1")
+        if self.receiver_threads[i] < 1:
+            raise ValueError("receiver_threads must be >= 1")
+        raise ValueError("ackers must be >= 0")
+
+    def __len__(self) -> int:
+        return int(self.hints.shape[0])
+
+    @classmethod
+    def broadcast(
+        cls,
+        base: TopologyConfig,
+        order: Sequence[str],
+        hints: np.ndarray,
+        max_tasks: np.ndarray | None,
+    ) -> "ConfigBatch":
+        """``base.replace(parallelism_hints=..., max_tasks=...)`` per row.
+
+        ``hints`` is the full ``(N, D)`` hint matrix in ``order``;
+        ``max_tasks`` is a per-row cap vector, or ``None`` for no cap.
+        Every other field is ``base``'s, repeated.
+        """
+        n = hints.shape[0]
+
+        def full(value: int) -> np.ndarray:
+            return np.full(n, value, dtype=np.int64)
+
+        return cls(
+            order=tuple(order),
+            hints=hints,
+            max_tasks=full(0) if max_tasks is None else max_tasks,
+            has_cap=np.full(n, max_tasks is not None, dtype=bool),
+            batch_size=full(base.batch_size),
+            batch_parallelism=full(base.batch_parallelism),
+            worker_threads=full(base.worker_threads),
+            receiver_threads=full(base.receiver_threads),
+            n_ackers=full(base.effective_ackers()),
+        )
+
+    @classmethod
+    def from_configs(
+        cls,
+        configs: Sequence[TopologyConfig],
+        order: Sequence[str],
+        default_hints: Sequence[int],
+    ) -> "ConfigBatch":
+        """Config list -> raw hint matrix + per-config scalar vectors."""
+        configs = list(configs)
+        order = tuple(order)
+        n = len(configs)
+        d = len(order)
+        # Fast path: configs usually hint every operator, so one
+        # C-level itemgetter call per row beats d dict.get calls.
+        hints = None
+        if d > 1:
+            get_hints = operator.itemgetter(*order)
+            try:
+                hints = np.array(
+                    [get_hints(c.parallelism_hints) for c in configs],
+                    dtype=np.int64,
+                ).reshape(n, d)
+            except (KeyError, TypeError, ValueError):
+                hints = None
+        if hints is None:
+            hints = np.empty((n, d), dtype=np.int64)
+            for i, config in enumerate(configs):
+                ph = config.parallelism_hints
+                row = hints[i]
+                for j, name in enumerate(order):
+                    hint = ph.get(name)
+                    row[j] = default_hints[j] if hint is None else hint
+        scalars = np.array(
+            [_CONFIG_SCALARS(c) for c in configs], dtype=np.int64
+        ).reshape(n, 4)
+        raw_caps = [c.max_tasks for c in configs]
+        has_cap = np.array([cap is not None for cap in raw_caps], dtype=bool)
+        max_tasks = np.array(
+            [0 if cap is None else cap for cap in raw_caps], dtype=np.int64
+        )
+        n_ackers = np.fromiter(
+            (c.effective_ackers() for c in configs), dtype=np.int64, count=n
+        )
+        return cls(
+            order=order,
+            hints=hints,
+            max_tasks=max_tasks,
+            has_cap=has_cap,
+            batch_size=scalars[:, 0],
+            batch_parallelism=scalars[:, 1],
+            worker_threads=scalars[:, 2],
+            receiver_threads=scalars[:, 3],
+            n_ackers=n_ackers,
+        )
 
 
 #: Human-readable catalogue of the Table I parameters, used by the

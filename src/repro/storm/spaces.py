@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.informed import InformedParallelismCodec
 from repro.core.parameters import FloatParameter, IntParameter, Parameter, ParameterSpace
 from repro.storm.cluster import ClusterSpec
-from repro.storm.config import TopologyConfig
+from repro.storm.config import ConfigBatch, TopologyConfig
 from repro.storm.topology import Topology
 
 #: Prefix used for per-operator hint parameters in flat dicts.
@@ -37,10 +39,23 @@ class ConfigCodec(abc.ABC):
     """Translates flat parameter dicts into topology configurations."""
 
     space: ParameterSpace
+    topology: Topology
 
     @abc.abstractmethod
     def decode(self, params: Mapping[str, object]) -> TopologyConfig:
         """Build the deployable configuration for one proposal."""
+
+    def decode_batch(self, X: np.ndarray, order: Sequence[str]) -> ConfigBatch:
+        """Decode an ``(N, dim)`` unit-cube matrix into one batch.
+
+        Row ``i`` equals ``decode(space.decode(X[i]))`` with hints laid
+        out in ``order``.  This default decodes row by row; codecs with
+        a closed form override it to decode column-wise.
+        """
+        rows = np.atleast_2d(np.asarray(X, dtype=float))
+        configs = [self.decode(self.space.decode(row)) for row in rows]
+        defaults = [self.topology.operator(name).default_hint for name in order]
+        return ConfigBatch.from_configs(configs, order, defaults)
 
 
 def default_max_hint(topology: Topology, cluster: ClusterSpec) -> int:
@@ -97,6 +112,17 @@ class ParallelismCodec(ConfigCodec):
         return self.base_config.replace(
             parallelism_hints=hints, max_tasks=max_tasks
         )
+
+    def decode_batch(self, X: np.ndarray, order: Sequence[str]) -> ConfigBatch:
+        columns = self.space.decode_batch(X)
+        hints = np.stack([columns[f"{HINT_PREFIX}{name}"] for name in order], axis=1)
+        if self.include_max_tasks:
+            max_tasks = columns["max_tasks"]
+        elif self.base_config.max_tasks is not None:
+            max_tasks = np.full(len(hints), self.base_config.max_tasks, dtype=np.int64)
+        else:
+            max_tasks = None
+        return ConfigBatch.broadcast(self.base_config, order, hints, max_tasks)
 
 
 class UniformHintCodec(ConfigCodec):
@@ -163,6 +189,18 @@ class InformedMultiplierCodec(ConfigCodec):
         multiplier = float(params["multiplier"])  # type: ignore[arg-type]
         hints = self.informed.hints_for(multiplier)
         return self.base_config.replace(parallelism_hints=hints, max_tasks=None)
+
+    def decode_batch(self, X: np.ndarray, order: Sequence[str]) -> ConfigBatch:
+        multiplier = self.space.decode_batch(X)["multiplier"]
+        if (multiplier <= 0).any():
+            raise ValueError("multiplier must be > 0")
+        weights = np.array([self.informed.weights[name] for name in order])
+        # hints_for's max(1, round(weight * multiplier)); round() and
+        # np.rint both round ties to even.
+        hints = np.maximum(
+            1, np.rint(weights[None, :] * multiplier[:, None])
+        ).astype(np.int64)
+        return ConfigBatch.broadcast(self.base_config, order, hints, None)
 
 
 class SundogParameterCodec(ConfigCodec):

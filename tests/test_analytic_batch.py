@@ -6,19 +6,26 @@ is required to be *bit-compatible* with the scalar engine — equal
 every bundled topology, contention condition, and failure regime.
 These tests pin that contract (hypothesis-style over random
 configurations), the fault/noise identity of
-:meth:`StormObjective.measure_batch`, the bounded LRU memo cache, and
-the screener's one-model-per-deployment reuse.
+:meth:`StormObjective.measure_batch`, the bounded LRU memo cache,
+the screener's one-model-per-deployment reuse, and the column-wise
+``ConfigCodec.decode_batch`` -> ``ConfigBatch`` path the screener runs
+on (equal to the per-row decode, with ``TopologyConfig``'s domain
+errors).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.loop import TuningLoop
+from repro.core.parameters import FloatParameter, ParameterSpace
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
 from repro.experiments.runner import make_synthetic_optimizer
 from repro.storm.analytic import AnalyticPerformanceModel, CalibrationParams
@@ -27,12 +34,18 @@ from repro.storm.analytic_batch import (
     _screener_model,
     make_analytic_screener,
 )
-from repro.storm.cluster import paper_cluster, small_test_cluster
-from repro.storm.config import TopologyConfig
+from repro.storm.cluster import ClusterSpec, paper_cluster, small_test_cluster
+from repro.storm.config import ConfigBatch, TopologyConfig
 from repro.storm.faults import FaultPlan, FaultSpec
 from repro.storm.noise import GaussianNoise
 from repro.storm.objective import StormObjective
-from repro.sundog import sundog_topology
+from repro.storm.spaces import (
+    InformedMultiplierCodec,
+    ParallelismCodec,
+    SundogParameterCodec,
+    UniformHintCodec,
+)
+from repro.sundog import sundog_default_config, sundog_topology
 from repro.topology_gen.suite import CONDITIONS, make_topology
 
 
@@ -428,3 +441,285 @@ class TestScreenerModelReuse:
         a = _screener_model(make_topology("small"), default_cluster(), None)
         b = _screener_model(make_topology("small"), default_cluster(), None)
         assert a is not b  # different objects are different cache keys
+
+
+#: The paper cluster with a tight executor cap: screened pools then mix
+#: feasible and infeasible rows on every bundled topology size.
+TIGHT_CLUSTER = ClusterSpec(
+    n_machines=80, machine=paper_cluster().machine, max_executors_per_worker=5
+)
+
+
+def _synthetic_codecs(topology, cluster):
+    base = SYNTHETIC_BASE_CONFIG
+    return {
+        "parallelism": ParallelismCodec(topology, cluster, base),
+        "parallelism-no-cap": ParallelismCodec(
+            topology, cluster, base, include_max_tasks=False
+        ),
+        "uniform": UniformHintCodec(topology, cluster, base),
+        "informed": InformedMultiplierCodec(topology, cluster, base),
+    }
+
+
+def _codec_cases():
+    cases = []
+    for size in ("small", "large"):
+        topology = make_topology(size)
+        for label, codec in _synthetic_codecs(topology, paper_cluster()).items():
+            cases.append((f"{size}/{label}", codec))
+    topology = sundog_topology()
+    for include in (("h",), ("h", "bs", "bp", "cc"), ("bs", "bp", "cc")):
+        codec = SundogParameterCodec(
+            topology,
+            paper_cluster(),
+            sundog_default_config(),
+            include=include,
+            fixed_hint=3,
+        )
+        cases.append((f"sundog/{'+'.join(include)}", codec))
+    # A fixed base-config cap: the no-cap codec must carry it per row.
+    capped = SYNTHETIC_BASE_CONFIG.replace(max_tasks=37)
+    cases.append(
+        (
+            "small/parallelism-no-cap/base-cap",
+            ParallelismCodec(
+                make_topology("small"), paper_cluster(), capped,
+                include_max_tasks=False,
+            ),
+        )
+    )
+    return cases
+
+
+CODEC_CASES = _codec_cases()
+
+
+def _unit_rows(dim: int, rng: np.random.Generator, n: int = 200) -> np.ndarray:
+    """Random rows plus the corners, out-of-range rows that clip, and
+    rows on and next to grid-cell edges."""
+    edges = [0.0, 1.0, -0.5, 1.5, 0.5, 1 / 3, 0.25, 0.125]
+    special = [np.full(dim, e) for e in edges]
+    special += [np.nextafter(np.full(dim, e), -np.inf) for e in edges]
+    special += [np.nextafter(np.full(dim, e), np.inf) for e in edges]
+    return np.vstack([rng.random((n, dim)), *special])
+
+
+def _per_row_batch(codec, X, order) -> ConfigBatch:
+    configs = [codec.decode(codec.space.decode(row)) for row in X]
+    defaults = [codec.topology.operator(name).default_hint for name in order]
+    return ConfigBatch.from_configs(configs, order, defaults)
+
+
+def _assert_batches_equal(a: ConfigBatch, b: ConfigBatch) -> None:
+    assert a.order == b.order
+    assert len(a) == len(b)
+    for field in dataclasses.fields(ConfigBatch):
+        if field.name == "order":
+            continue
+        left, right = getattr(a, field.name), getattr(b, field.name)
+        assert left.dtype == right.dtype, field.name
+        np.testing.assert_array_equal(left, right, err_msg=field.name)
+
+
+class TestDecodeBatch:
+    """``ConfigCodec.decode_batch`` == the per-row decode, array for array."""
+
+    @pytest.mark.parametrize(
+        "label, codec", CODEC_CASES, ids=[case[0] for case in CODEC_CASES]
+    )
+    def test_matches_per_row_decode(self, label, codec):
+        order = tuple(codec.topology.topological_order())
+        X = _unit_rows(codec.space.dim, np.random.default_rng(len(label)))
+        _assert_batches_equal(codec.decode_batch(X, order), _per_row_batch(codec, X, order))
+
+    def test_from_configs_fills_default_hints(self):
+        topology = make_topology("small")
+        order = tuple(topology.topological_order())
+        partial = TopologyConfig(parallelism_hints={order[0]: 7}, ackers=3)
+        batch = ConfigBatch.from_configs([partial], order, list(range(1, 11)))
+        assert batch.hints.tolist() == [[7, *range(2, 11)]]
+        assert batch.n_ackers.tolist() == [3]
+        assert not batch.has_cap[0]
+
+    def test_evaluate_accepts_a_batch_or_configs(self):
+        topology = make_topology("medium", CONDITIONS[3])
+        codec = ParallelismCodec(topology, TIGHT_CLUSTER, SYNTHETIC_BASE_CONFIG)
+        model = AnalyticBatchModel(topology, TIGHT_CLUSTER)
+        X = codec.space.latin_hypercube(64, np.random.default_rng(3))
+        from_batch = model.evaluate(codec.decode_batch(X, model.order))
+        configs = [codec.decode(codec.space.decode(row)) for row in X]
+        assert from_batch.runs() == model.evaluate(configs).runs()
+        assert 0 < int(from_batch.failed.sum()) < len(X)
+
+    def test_evaluate_rejects_a_batch_in_another_order(self):
+        topology = make_topology("small")
+        codec = ParallelismCodec(topology, paper_cluster(), SYNTHETIC_BASE_CONFIG)
+        model = AnalyticBatchModel(topology, paper_cluster())
+        batch = codec.decode_batch(np.full((2, codec.space.dim), 0.5), model.order[::-1])
+        with pytest.raises(ValueError, match="order"):
+            model.evaluate(batch)
+
+    def test_informed_codec_keeps_the_multiplier_check(self):
+        topology = make_topology("small")
+        codec = InformedMultiplierCodec(topology, paper_cluster(), SYNTHETIC_BASE_CONFIG)
+        codec.space = ParameterSpace([FloatParameter("multiplier", -1.0, 1.0)])
+        X = np.array([[0.9], [0.1]])
+        with pytest.raises(ValueError, match="multiplier must be > 0"):
+            codec.decode(codec.space.decode(X[1]))
+        with pytest.raises(ValueError, match="multiplier must be > 0"):
+            codec.decode_batch(X, tuple(topology.topological_order()))
+
+
+#: Out-of-domain settings, as TopologyConfig keyword arguments.
+OUT_OF_DOMAIN = (
+    {"parallelism_hints": {"b": 0}},
+    {"max_tasks": 0},
+    {"batch_size": 0},
+    {"batch_parallelism": 0},
+    {"worker_threads": 0},
+    {"receiver_threads": -2},
+    {"ackers": -1},
+)
+
+
+class TestConfigBatchDomain:
+    """ConfigBatch raises TopologyConfig's ValueError for the first bad row."""
+
+    ORDER = ("a", "b", "c")
+
+    def _batch(self, n: int, **overrides) -> ConfigBatch:
+        def col(value):
+            return np.full(n, value, dtype=np.int64)
+
+        fields = {
+            "order": self.ORDER,
+            "hints": np.ones((n, 3), dtype=np.int64),
+            "max_tasks": col(10),
+            "has_cap": np.ones(n, dtype=bool),
+            "batch_size": col(100),
+            "batch_parallelism": col(1),
+            "worker_threads": col(8),
+            "receiver_threads": col(1),
+            "n_ackers": col(4),
+        }
+        fields.update(overrides)
+        return ConfigBatch(**fields)
+
+    @staticmethod
+    def _scalar_error(kwargs) -> str:
+        with pytest.raises(ValueError) as info:
+            TopologyConfig(**kwargs)
+        return str(info.value)
+
+    @pytest.mark.parametrize("kwargs", OUT_OF_DOMAIN, ids=lambda kw: next(iter(kw)))
+    def test_same_error_as_topology_config(self, kwargs):
+        expected = self._scalar_error(kwargs)
+        good = self._batch(3)
+        name, value = next(iter(kwargs.items()))
+        if name == "parallelism_hints":
+            column, array, value = "hints", good.hints.copy(), 0
+            array[1, 1] = value
+        else:
+            column = {"ackers": "n_ackers"}.get(name, name)
+            array = getattr(good, column).copy()
+            array[1] = value
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            self._batch(3, **{column: array})
+
+    def test_first_offending_row_wins(self):
+        batch_size = np.array([100, 0, 100])
+        hints = np.ones((3, 3), dtype=np.int64)
+        hints[2, 0] = 0
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            self._batch(3, batch_size=batch_size, hints=hints)
+
+    def test_uncapped_rows_skip_the_cap_check(self):
+        batch = self._batch(2, max_tasks=np.zeros(2, dtype=np.int64),
+                            has_cap=np.zeros(2, dtype=bool))
+        assert len(batch) == 2
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="columns"):
+            self._batch(2, hints=np.ones((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="batch_size"):
+            self._batch(2, batch_size=np.ones(3, dtype=np.int64))
+
+    def test_empty_batch(self):
+        batch = self._batch(0, hints=np.ones((0, 3), dtype=np.int64))
+        assert len(batch) == 0
+
+
+def _screening_pool(codec, rng: np.random.Generator) -> np.ndarray:
+    """>= 2,000 rows shaped like an acquisition pool: a Latin hypercube,
+    the diagonal, and Gaussian perturbations around a few pool points."""
+    space = codec.space
+    lhs = space.latin_hypercube(2_000, rng)
+    diag = space.round_trip_batch(
+        np.linspace(0.0, 1.0, 33)[:, None] * np.ones((1, space.dim))
+    )
+    centres = lhs[rng.choice(len(lhs), size=4, replace=False)]
+    local = np.vstack([
+        space.round_trip_batch(
+            np.clip(c + rng.normal(0.0, 0.05, size=(64, space.dim)), 0.0, 1.0)
+        )
+        for c in centres
+    ])
+    return np.vstack([lhs, diag, local])
+
+
+class TestScreenerMatchesPerRowPath:
+    """The column-wise screener keeps exactly what the per-row path keeps."""
+
+    @pytest.mark.parametrize("size", ["small", "medium", "large"])
+    def test_keep_masks_equal(self, size):
+        topology = make_topology(size)
+        model = AnalyticBatchModel(topology, TIGHT_CLUSTER)
+        codecs = _synthetic_codecs(topology, TIGHT_CLUSTER)
+        for label in ("parallelism", "parallelism-no-cap", "informed"):
+            codec = codecs[label]
+            X = _screening_pool(codec, np.random.default_rng(11))
+            assert len(X) >= 2_000
+            keep = make_analytic_screener(codec, topology, TIGHT_CLUSTER)(X)
+            configs = [codec.decode(codec.space.decode(row)) for row in X]
+            reference = ~model.evaluate(configs).failed
+            np.testing.assert_array_equal(keep, reference, err_msg=label)
+            if label != "parallelism-no-cap":  # that one fails everywhere
+                assert 0 < int(keep.sum()) < len(X), label
+
+    def test_screened_bo_run_decodes_once_per_step(self, monkeypatch):
+        """Guard: the screener must not decode candidates row by row.
+
+        ``bo``'s integer space has no gradient refinement, so its only
+        per-row ``ParameterSpace.decode`` is the one ``ask`` makes for
+        the proposal it returns.
+        """
+        decodes = 0
+        decode = ParameterSpace.decode
+
+        def counting_decode(self, x):
+            nonlocal decodes
+            decodes += 1
+            return decode(self, x)
+
+        monkeypatch.setattr(ParameterSpace, "decode", counting_decode)
+        topology = make_topology("small")
+        cluster = default_cluster()
+        steps = 16
+        optimizer, codec = make_synthetic_optimizer(
+            "bo", topology, cluster, SYNTHETIC_BASE_CONFIG, steps, seed=0,
+            fidelity="analytic",
+        )
+        screen = optimizer.acq.screen
+        screened = 0
+
+        def counting_screen(candidates):
+            nonlocal screened
+            screened += len(candidates)
+            return screen(candidates)
+
+        optimizer.acq.screen = counting_screen
+        objective = StormObjective(topology, cluster, codec, seed=0)
+        TuningLoop(objective, optimizer, max_steps=steps).run()
+        assert screened > 5 * steps  # the screener ran on model-driven steps
+        assert decodes == steps

@@ -245,3 +245,131 @@ class TestSerialization:
     def test_unknown_type_raises(self):
         with pytest.raises(ValueError):
             parameter_from_dict({"type": "mystery", "name": "x"})
+
+
+#: One parameter of every kind the batch decode has a closed form for,
+#: log scales included (the Sundog batch-size axis is ``li``).
+BATCH_PARAMETERS = (
+    IntParameter("i", 1, 13),
+    IntParameter("wide", 4, 400),
+    IntParameter("li", 1_000, 500_000, log=True),
+    IntParameter("li_small", 1, 32, log=True),
+    FloatParameter("f", -3.0, 7.0),
+    FloatParameter("lf", 0.01, 40.0, log=True),
+    CategoricalParameter("c", ["a", "b", ("t", 1), 4]),
+)
+
+
+def _edge_coords(p) -> np.ndarray:
+    """0, 1, clipped out-of-range values, the exact cell edges ``k/n``
+    and -- for log integers, whose edges are where the exponential
+    crosses ``k + 0.5`` -- those rounding edges, plus their ``nextafter``
+    neighbours on both sides (at most ~2,000 edges per parameter)."""
+    if isinstance(p, IntParameter) and p.log:
+        lo, hi = math.log(p.low), math.log(p.high)
+        stride = max(1, (p.high - p.low) // 2_000)
+        halves = np.arange(p.low, p.high, stride) + 0.5
+        edges = (np.log(halves) - lo) / (hi - lo)
+    else:
+        n = len(p.choices) if isinstance(p, CategoricalParameter) else (
+            p.n_values if isinstance(p, IntParameter) else 64
+        )
+        edges = np.arange(n + 1) / n
+    neighbours = [np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)]
+    extra = [0.0, -0.0, 1.0, -1e-300, -0.5, 1.5, 2.0, -np.inf, np.inf]
+    return np.concatenate(neighbours + [np.asarray(extra)])
+
+
+def _assert_same_value(batch_value, scalar_value):
+    assert batch_value == scalar_value
+    if isinstance(scalar_value, float):
+        assert isinstance(batch_value, (float, np.floating))
+    elif isinstance(scalar_value, int):
+        assert isinstance(batch_value, (int, np.integer))
+    else:
+        assert batch_value is scalar_value
+
+
+class TestBatchDecode:
+    """``from_unit_batch``/``decode_batch`` == per-element ``from_unit``/``decode``."""
+
+    @pytest.mark.parametrize("p", BATCH_PARAMETERS, ids=lambda p: p.name)
+    def test_from_unit_batch_matches_at_edges(self, p):
+        u = _edge_coords(p)
+        batch = p.from_unit_batch(u)
+        assert batch.shape == u.shape
+        for ui, value in zip(u, batch):
+            _assert_same_value(value, p.from_unit(float(ui)))
+
+    @pytest.mark.parametrize("p", BATCH_PARAMETERS, ids=lambda p: p.name)
+    @given(
+        u=st.lists(
+            st.floats(min_value=-0.5, max_value=1.5, allow_nan=False),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_from_unit_batch_matches(self, p, u):
+        batch = p.from_unit_batch(np.asarray(u))
+        for ui, value in zip(u, batch):
+            _assert_same_value(value, p.from_unit(ui))
+
+    def test_dtypes(self):
+        space = ParameterSpace(BATCH_PARAMETERS)
+        columns = space.decode_batch(np.full((3, space.dim), 0.5))
+        assert [columns[p.name].dtype for p in BATCH_PARAMETERS] == [
+            np.int64, np.int64, np.int64, np.int64, np.float64, np.float64, object,
+        ]
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.floats(min_value=-0.25, max_value=1.25, allow_nan=False),
+                min_size=len(BATCH_PARAMETERS),
+                max_size=len(BATCH_PARAMETERS),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_decode_batch_matches_decode(self, rows):
+        space = ParameterSpace(BATCH_PARAMETERS)
+        X = np.asarray(rows)
+        columns = space.decode_batch(X)
+        assert list(columns) == space.names
+        for i, row in enumerate(X):
+            for name, value in space.decode(row).items():
+                _assert_same_value(columns[name][i], value)
+
+    def test_decode_batch_at_every_edge(self):
+        space = ParameterSpace(BATCH_PARAMETERS)
+        coords = [_edge_coords(p) for p in BATCH_PARAMETERS]
+        n = max(len(c) for c in coords)
+        X = np.column_stack([np.resize(c, n) for c in coords])
+        columns = space.decode_batch(X)
+        for i, row in enumerate(X):
+            for name, value in space.decode(row).items():
+                _assert_same_value(columns[name][i], value)
+
+    def test_single_row_and_shape_check(self):
+        space = ParameterSpace(BATCH_PARAMETERS)
+        x = np.full(space.dim, 0.3)
+        columns = space.decode_batch(x)
+        assert {name: col[0] for name, col in columns.items()} == space.decode(x)
+        with pytest.raises(ValueError, match="expected shape"):
+            space.decode_batch(np.zeros((2, space.dim + 1)))
+
+    @pytest.mark.parametrize("p", BATCH_PARAMETERS, ids=lambda p: p.name)
+    def test_nan_raises_the_scalar_error(self, p):
+        """Regression: round_trip_batch used to return NaN for an int or
+        categorical NaN coordinate where the scalar path raises."""
+        space = ParameterSpace([IntParameter("ok", 1, 4), p])
+        x = np.array([0.5, np.nan])
+        with pytest.raises(ValueError, match="unit coordinate is NaN"):
+            space.round_trip(x)
+        with pytest.raises(ValueError, match="unit coordinate is NaN"):
+            space.round_trip_batch(np.vstack([np.full(2, 0.5), x]))
+        with pytest.raises(ValueError, match="unit coordinate is NaN"):
+            space.decode_batch(np.vstack([np.full(2, 0.5), x]))
