@@ -26,7 +26,6 @@ pytest for the full acceptance numbers:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -34,14 +33,15 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.checkpoint import canonical_history, load_checkpoint
-from repro.core.continuous import SIDECAR_NAME
+from repro.core.checkpoint import canonical_history
+from repro.core.continuous import STATE_NAME
 from repro.experiments.drift import (
     build_drift_loop,
     compare_modes,
     drift_scenarios,
     run_drift_scenario,
 )
+from repro.store import STORE_FILENAME, open_store
 
 #: Full-bench knobs (the acceptance configuration).
 BENCH_SEED = 1
@@ -148,21 +148,20 @@ def _run_child(checkpoint_dir: str) -> int:
 def _ready_to_kill(checkpoint_dir: Path) -> bool:
     """True once a drift epoch completed and the next epoch is underway:
     the SIGKILL then lands mid-epoch on the far side of the detection."""
-    sidecar = checkpoint_dir / SIDECAR_NAME
-    if not sidecar.is_file():
+    if not (checkpoint_dir / STORE_FILENAME).is_file():
         return False
-    try:
-        data = json.loads(sidecar.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    if not data.get("detections"):
-        return False
-    completed = int(data.get("epochs_completed", 0))
-    if completed >= KILL_EPOCHS:
-        return False
-    partial = load_checkpoint(
-        checkpoint_dir / f"epoch-{completed:04d}.jsonl"
-    )
+    # build_drift_loop keys the campaign by (scenario, mode).
+    cell = f"{_kill_scenario().name}/continuous"
+    with open_store(checkpoint_dir) as store:
+        data = store.load_state("drift", cell, STATE_NAME)
+        if data is None or not data.get("detections"):
+            return False
+        completed = int(data.get("epochs_completed", 0))
+        if completed >= KILL_EPOCHS:
+            return False
+        partial = store.load_checkpoint(
+            "drift", cell, f"epoch-{completed:04d}"
+        )
     return partial is not None and partial.completed >= 1
 
 

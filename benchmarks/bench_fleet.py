@@ -50,7 +50,7 @@ from repro.service.campaign import (
     CampaignSpec,
     store_cell_label,
 )
-from repro.store import open_store
+from repro.store import StudyStore, open_store
 from repro.store.base import KILL_ENV, TERMINAL_LEASE_STATUSES
 from repro.topology_gen.suite import CONDITIONS
 
@@ -142,28 +142,56 @@ def _spawn_worker(
     )
 
 
+def _await_victim_leases(
+    watcher: StudyStore,
+    study: str,
+    cells: list[str],
+    victims: list[tuple[str, subprocess.Popen]],
+) -> None:
+    """Block until every kill-planned worker holds a lease (or died).
+
+    Clean workers start only after this: otherwise a clean worker can
+    claim every cell before a victim claims one, the victim drains an
+    empty queue, and its planned kill never fires.
+    """
+    deadline = time.time() + SUPERVISE_TIMEOUT
+    while True:
+        owners = set()
+        for cell in cells:
+            lease = watcher.read_lease(study, cell)
+            if lease is not None:
+                owners.add(lease.owner)
+        if all(
+            owner in owners or proc.poll() is not None
+            for owner, proc in victims
+        ):
+            return
+        assert time.time() < deadline, (
+            "kill-planned workers never claimed a cell within "
+            f"{SUPERVISE_TIMEOUT}s"
+        )
+        time.sleep(0.02)
+
+
 def run_fleet_fuzz(
-    backend: str,
     *,
     smoke: bool = True,
     seed: int = 0,
     workdir: str | Path | None = None,
     artifacts: str | Path | None = None,
 ) -> dict[str, object]:
-    """Fuzz one backend; returns the bench report (asserts on the way)."""
-    assert backend in ("jsonl", "sqlite"), backend
+    """Fuzz the fleet; returns the bench report (asserts on the way)."""
     workers = 2 if smoke else 4
     rng = np.random.default_rng(seed)
     plan = _kill_plan(rng, smoke)
-    suffix = ".db" if backend == "sqlite" else ""
     log_dir = None
     if artifacts is not None:
         log_dir = Path(artifacts)
         log_dir.mkdir(parents=True, exist_ok=True)
 
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        fleet_store = Path(tmp) / f"fleet{suffix}"
-        serial_store = Path(tmp) / f"serial{suffix}"
+        fleet_store = Path(tmp) / "fleet.db"
+        serial_store = Path(tmp) / "serial.db"
         spec = _spec(smoke, str(fleet_store), workers)
         serial_spec = dataclasses.replace(
             spec, store=str(serial_store), mode="pool", workers=None, n_jobs=1
@@ -182,22 +210,31 @@ def run_fleet_fuzz(
                 {"version": 1, "spec": spec.as_dict()},
             )
 
-        procs: list[tuple[str, subprocess.Popen]] = []
-        for i, kill in enumerate(plan):
-            owner = f"fuzz-w{i}"
-            procs.append((owner, _spawn_worker(fleet_store, owner, kill, log_dir)))
-        spawned = len(procs)
+        # Kill-planned workers first; clean ones once each victim holds
+        # a lease, so every planned kill has a cell to die in.
+        owners = [f"fuzz-w{i}" for i in range(len(plan))]
+        procs: list[tuple[str, subprocess.Popen]] = [
+            (owner, _spawn_worker(fleet_store, owner, kill, log_dir))
+            for owner, kill in zip(owners, plan)
+            if kill
+        ]
+        spawned = len(plan)
         kills_observed = 0
         expired_seen: dict[tuple[str, int], float] = {}  # -> lease deadline
         reclaim_latency: dict[tuple[str, int], float] = {}
 
         watcher = open_store(str(fleet_store))
         try:
+            _await_victim_leases(watcher, spec.study, cells, procs)
+            procs.extend(
+                (owner, _spawn_worker(fleet_store, owner, None, log_dir))
+                for owner, kill in zip(owners, plan)
+                if not kill
+            )
             deadline_wall = time.time() + SUPERVISE_TIMEOUT
             while True:
                 assert time.time() < deadline_wall, (
-                    f"fleet did not finish within {SUPERVISE_TIMEOUT}s "
-                    f"({backend})"
+                    f"fleet did not finish within {SUPERVISE_TIMEOUT}s"
                 )
                 alive = []
                 for owner, proc in procs:
@@ -275,24 +312,19 @@ def run_fleet_fuzz(
             watcher.close()
 
         if log_dir is not None:
-            target = log_dir / f"fleet-{backend}{suffix or '-store'}"
-            if fleet_store.is_dir():
-                shutil.copytree(fleet_store, target, dirs_exist_ok=True)
-            else:
-                shutil.copy(fleet_store, target)
+            shutil.copy(fleet_store, log_dir / "fleet.db")
 
     expected_kills = 1 if smoke else 2
     assert kills_observed >= expected_kills, (
         f"only {kills_observed} worker(s) died; the fuzz needs at least "
-        f"{expected_kills} ({backend}, plan {plan})"
+        f"{expected_kills} (plan {plan})"
     )
     max_reclaim = max(reclaim_latency.values(), default=0.0)
     assert max_reclaim <= TTL_SECONDS, (
         f"reclaim took {max_reclaim:.2f}s, over the {TTL_SECONDS:g}s "
-        f"heartbeat timeout ({backend})"
+        "heartbeat timeout"
     )
     report = {
-        "backend": backend,
         "cells": len(cells),
         "kill_plan": [k for k in plan if k],
         "kills_observed": kills_observed,
@@ -302,16 +334,14 @@ def run_fleet_fuzz(
         "histories_identical": identical,
     }
     print(
-        f"fleet fuzz [{backend}]: {len(cells)} cell(s), "
+        f"fleet fuzz: {len(cells)} cell(s), "
         f"{kills_observed} SIGKILL(s) of {spawned} worker(s), "
         f"{len(reclaim_latency)} expired lease(s) reclaimed "
         f"(max {max_reclaim:.2f}s), histories identical: {identical}"
     )
-    assert identical, (
-        f"fleet history diverged from the serial unkilled run ({backend})"
-    )
+    assert identical, "fleet history diverged from the serial unkilled run"
     if log_dir is not None:
-        (log_dir / f"fuzz-{backend}.json").write_text(
+        (log_dir / "fuzz.json").write_text(
             json.dumps(report, indent=2) + "\n", encoding="utf-8"
         )
     return report
@@ -320,13 +350,8 @@ def run_fleet_fuzz(
 # ----------------------------------------------------------------------
 # pytest entry points (full acceptance numbers)
 # ----------------------------------------------------------------------
-def test_fleet_kill_fuzz_jsonl_is_byte_identical() -> None:
-    report = run_fleet_fuzz("jsonl", smoke=False)
-    assert report["histories_identical"]
-
-
-def test_fleet_kill_fuzz_sqlite_is_byte_identical() -> None:
-    report = run_fleet_fuzz("sqlite", smoke=False)
+def test_fleet_kill_fuzz_is_byte_identical() -> None:
+    report = run_fleet_fuzz(smoke=False)
     assert report["histories_identical"]
 
 
@@ -335,9 +360,6 @@ def test_fleet_kill_fuzz_sqlite_is_byte_identical() -> None:
 # ----------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend", choices=["both", "jsonl", "sqlite"], default="both"
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--artifacts", metavar="DIR", default=None,
@@ -347,35 +369,26 @@ def main(argv: list[str] | None = None) -> int:
 
     add_harness_args(parser)
     args = parser.parse_args(argv)
-    backends = (
-        ["jsonl", "sqlite"] if args.backend == "both" else [args.backend]
+    report = run_fleet_fuzz(
+        smoke=args.smoke, seed=args.seed, artifacts=args.artifacts
     )
-    reports = [
-        run_fleet_fuzz(
-            backend, smoke=args.smoke, seed=args.seed,
-            artifacts=args.artifacts,
-        )
-        for backend in backends
-    ]
     emit(
         "bench_fleet",
         smoke=args.smoke,
         metrics={
             "histories_identical": make_metric(
-                float(all(r["histories_identical"] for r in reports)),
-                higher_is_better=True,
+                float(report["histories_identical"]), higher_is_better=True
             ),
             "kills_injected": make_metric(
-                float(sum(r["kills_observed"] for r in reports)),
-                higher_is_better=True,
+                float(report["kills_observed"]), higher_is_better=True
             ),
             "reclaim_seconds_max": make_metric(
-                max(float(r["reclaim_seconds_max"]) for r in reports),
+                float(report["reclaim_seconds_max"]),
                 higher_is_better=False,
                 unit="s",
             ),
         },
-        meta={r["backend"]: r for r in reports},
+        meta=report,
         json_path=args.json,
     )
     return 0

@@ -8,9 +8,10 @@ Three claims are checked (docs/ROBUSTNESS.md):
   full step budget: zero aborted runs over 10 seeds.
 * **Quality under chaos** — the mean best-found throughput across the
   chaos campaigns stays within 5% of the fault-free campaigns'.
-* **Crash-safe resume** — a checkpointing campaign killed with
-  ``SIGKILL`` mid-run and resumed from its checkpoint reproduces the
-  uninterrupted run's observation history *byte-identically*
+* **Crash-safe resume** — a campaign checkpointing into a study store,
+  killed with ``SIGKILL`` mid-run and resumed from the store,
+  reproduces the uninterrupted run's observation history
+  *byte-identically*
   (:func:`repro.core.checkpoint.canonical_history`).
 
 Run as a script for the CI chaos-smoke check (``--smoke`` scales the
@@ -30,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.checkpoint import canonical_history, load_checkpoint
+from repro.core.checkpoint import canonical_history
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.resilience import ReplicatedObjective, RetryPolicy
@@ -39,6 +40,7 @@ from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
 from repro.storm.faults import FaultPlan, FaultSpec
 from repro.storm.objective import StormObjective
 from repro.storm.spaces import ParallelismCodec
+from repro.store import StudyStore, open_store
 from repro.topology_gen.suite import make_topology
 
 #: Full-bench knobs (the acceptance configuration).
@@ -211,10 +213,15 @@ def run_chaos(
 # ----------------------------------------------------------------------
 # Kill -9 and resume
 # ----------------------------------------------------------------------
+#: The kill campaign's checkpoint address inside its store.
+_KILL_RUN = ("bench-resilience", "kill", "pass0")
+
+
 def _resume_loop(
-    checkpoint_path: str | Path | None, *, window_seconds: float = 0.0
+    store: StudyStore | None, *, window_seconds: float = 0.0
 ) -> TuningLoop:
-    """The resume bench's campaign (chaos faults + checkpointing).
+    """The resume bench's campaign (chaos faults + checkpointing into
+    ``store``).
 
     ``window_seconds`` simulates the paper's measurement window so the
     child process reliably dies mid-run; the sleep never affects the
@@ -236,45 +243,52 @@ def _resume_loop(
     else:
         target = objective
     optimizer = BayesianOptimizer(objective.codec.space, seed=3)
+    slot = None if store is None else store.checkpoint_slot(*_KILL_RUN)
     return TuningLoop(
         target,
         optimizer,
         max_steps=RESUME_STEPS,
         seed=11,
         resilience=_policy(),
-        checkpoint_path=checkpoint_path,
+        checkpoint=slot,
     )
 
 
 def run_kill_resume(workdir: str | Path | None = None) -> dict[str, object]:
     """SIGKILL a checkpointing campaign, resume, compare histories."""
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        ckpt = Path(tmp) / "killed.jsonl"
-        proc = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), "--child", str(ckpt)],
-            cwd=_REPO_ROOT,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        )
-        try:
-            deadline = time.time() + 120
-            while time.time() < deadline:
-                loaded = load_checkpoint(ckpt)
-                if loaded is not None and loaded.completed >= 3:
-                    break
-                if proc.poll() is not None:
-                    break
-                time.sleep(0.05)
-            proc.kill()
-        finally:
-            proc.wait()
-        killed = load_checkpoint(ckpt)
+        ckpt = Path(tmp) / "killed.db"
+        # Opened first, so the schema exists before the child writes.
+        with open_store(ckpt) as watcher:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, str(Path(__file__).resolve()),
+                    "--child", str(ckpt),
+                ],
+                cwd=_REPO_ROOT,
+                env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            )
+            try:
+                deadline = time.time() + 120
+                while time.time() < deadline:
+                    loaded = watcher.load_checkpoint(*_KILL_RUN)
+                    if loaded is not None and loaded.completed >= 3:
+                        break
+                    if proc.poll() is not None:
+                        break
+                    time.sleep(0.05)
+                proc.kill()
+            finally:
+                proc.wait()
+            killed = watcher.load_checkpoint(*_KILL_RUN)
         assert killed is not None, "child never wrote a checkpoint"
         assert 0 < killed.completed < RESUME_STEPS, (
             f"child finished {killed.completed} steps; the kill must land "
             f"mid-run for the bench to mean anything"
         )
         reference = _resume_loop(None).run()
-        resumed = _resume_loop(ckpt).run()
+        with open_store(ckpt) as store:
+            resumed = _resume_loop(store).run()
     identical = canonical_history(resumed.observations) == canonical_history(
         reference.observations
     )
@@ -319,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--child",
-        metavar="CKPT",
+        metavar="DB",
         default=None,
         help="internal: run the checkpointing child campaign",
     )
@@ -328,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     add_harness_args(parser)
     args = parser.parse_args(argv)
     if args.child:
-        _resume_loop(args.child, window_seconds=0.1).run()
+        with open_store(args.child) as store:
+            _resume_loop(store, window_seconds=0.1).run()
         return 0
     if args.smoke:
         report = run_chaos(n_seeds=3, steps=10)

@@ -1,20 +1,18 @@
 """Acceptance bench for the study-store persistence layer.
 
-Three claims are checked (docs/STORE.md):
+Two claims are checked (docs/STORE.md):
 
-* **Backend parity** — the same seeded miniature synthetic study run
-  once against the JSONL backend and once against the SQLite backend
-  picks *identical winners*: per cell, every pass's best value, best
-  config, and full canonical observation history match byte-for-byte.
-* **Lossless migration** — ``migrate_store`` carries the finished
-  JSONL study into SQLite with nothing dropped: checkpoint histories
-  compare equal under :func:`repro.core.checkpoint.canonical_history`.
-* **Crash-safe SQLite resume** — a store-backed campaign killed with
-  ``SIGKILL`` mid-study and resumed *from the SQLite database*
-  reproduces the uninterrupted run's history byte-identically.
+* **Lossless migration** — ``migrate_store`` carries a finished seeded
+  miniature synthetic study into a second database with nothing
+  dropped: per cell, every run checkpoint's history and every pass's
+  best value, best config, and observation history compare equal under
+  :func:`repro.core.checkpoint.canonical_history`.
+* **Crash-safe resume** — a store-backed campaign killed with
+  ``SIGKILL`` mid-study and resumed from the database reproduces the
+  uninterrupted run's history byte-identically.
 
 Run as a script for the CI ``store-smoke`` job (``--keep-db`` preserves
-the SQLite database as an inspectable artifact), or under pytest for
+the study's database as an inspectable artifact), or under pytest for
 the acceptance numbers:
 
     PYTHONPATH=src python benchmarks/bench_store.py --smoke
@@ -71,70 +69,65 @@ def _study(budget: Budget, store_spec: str) -> SyntheticStudy:
 
 
 # ----------------------------------------------------------------------
-# Backend parity + migration
+# Migration
 # ----------------------------------------------------------------------
-def run_backend_parity(
+def _same_passes(a, b) -> bool:
+    return len(a) == len(b) and all(
+        x.best_value == y.best_value
+        and x.best_config == y.best_config
+        and canonical_history(x.observations)
+        == canonical_history(y.observations)
+        for x, y in zip(a, b)
+    )
+
+
+def run_migration(
     *, smoke: bool = True, workdir: str | Path | None = None,
     keep_db: str | Path | None = None,
 ) -> dict[str, object]:
-    """Run the same study on both backends; compare every winner."""
+    """Run a study into one database, migrate it into a second one, and
+    compare every checkpoint and finished cell across the two."""
     budget = _budget(smoke)
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        jsonl_dir = Path(tmp) / "jsonl-store"
-        sqlite_db = Path(tmp) / "store.db"
-        by_backend = {}
-        for spec in (jsonl_dir, sqlite_db):
-            by_backend[spec.suffix or "jsonl"] = _study(
-                budget, str(spec)
-            ).run().results
-
-        jsonl_results, sqlite_results = (
-            by_backend["jsonl"], by_backend[".db"]
-        )
-        assert jsonl_results.keys() == sqlite_results.keys()
-        winners_match = True
-        for key, from_jsonl in jsonl_results.items():
-            from_sqlite = sqlite_results[key]
-            assert len(from_jsonl) == len(from_sqlite), key
-            for a, b in zip(from_jsonl, from_sqlite):
-                if (
-                    a.best_value != b.best_value
-                    or a.best_config != b.best_config
-                    or canonical_history(a.observations)
-                    != canonical_history(b.observations)
-                ):
-                    winners_match = False
-
-        # Migrate the finished JSONL study into a fresh SQLite file and
-        # check nothing was dropped on the way.
+        source_db = Path(tmp) / "store.db"
         migrated_db = Path(tmp) / "migrated.db"
-        with open_store(jsonl_dir) as src, open_store(migrated_db) as dst:
+        results = _study(budget, str(source_db)).run().results
+        with open_store(source_db) as src, open_store(migrated_db) as dst:
             report = migrate_store(src, dst)
-        with open_store(migrated_db) as dst:
-            migration_ok = all(
-                dst.has_results("synthetic", cell)
-                for cell in dst.cells("synthetic")
-            ) and bool(dst.cells("synthetic"))
-
+            cells = src.cells("synthetic")
+            lossless = bool(cells) and dst.cells("synthetic") == cells
+            for cell in cells:
+                lossless = lossless and _same_passes(
+                    src.load_results("synthetic", cell),
+                    dst.load_results("synthetic", cell),
+                )
+                for run in src.runs("synthetic", cell):
+                    before = src.load_checkpoint("synthetic", cell, run)
+                    after = dst.load_checkpoint("synthetic", cell, run)
+                    lossless = (
+                        lossless
+                        and after is not None
+                        and canonical_history(before.observations)
+                        == canonical_history(after.observations)
+                    )
         if keep_db is not None:
-            shutil.copy(sqlite_db, keep_db)
+            shutil.copy(source_db, keep_db)
     print(
-        f"store parity bench: {len(jsonl_results)} cell(s) x "
-        f"{budget.passes} pass(es), winners identical: {winners_match}, "
-        f"migrated {report.observations} observation(s) losslessly: "
-        f"{migration_ok}"
+        f"store migration bench: {len(results)} cell(s) x "
+        f"{budget.passes} pass(es), migrated {report.checkpoints} "
+        f"checkpoint(s) / {report.observations} observation(s), "
+        f"lossless: {lossless}"
     )
-    assert winners_match, "JSONL and SQLite backends picked different winners"
-    assert migration_ok, "migration dropped finished cells"
+    assert lossless, "migration dropped or altered stored documents"
     return {
-        "cells": len(jsonl_results),
-        "winners_match": winners_match,
+        "cells": len(results),
+        "lossless": lossless,
         "migrated_observations": report.observations,
     }
 
 
 # ----------------------------------------------------------------------
-# SIGKILL mid-study, resume from SQLite
+# SIGKILL mid-study, resume from the store
 # ----------------------------------------------------------------------
 def _kill_objective(params: dict) -> float:
     return float((int(params["x"]) * 7 + int(params["y"]) * 3) % 23)
@@ -149,7 +142,7 @@ def _kill_space() -> ParameterSpace:
 def _resume_loop(
     db_path: str | Path | None, *, window_seconds: float = 0.0
 ) -> TuningLoop:
-    """The kill bench's campaign, checkpointing into a SQLite store.
+    """The kill bench's campaign, checkpointing into a study store.
 
     ``window_seconds`` simulates a measurement window so the child
     reliably dies mid-study; it never affects the observed values,
@@ -228,9 +221,9 @@ def run_kill_resume(workdir: str | Path | None = None) -> dict[str, object]:
 # ----------------------------------------------------------------------
 # pytest entry points (full acceptance numbers)
 # ----------------------------------------------------------------------
-def test_backends_pick_identical_winners() -> None:
-    report = run_backend_parity(smoke=False)
-    assert report["winners_match"]
+def test_migration_is_lossless() -> None:
+    report = run_migration(smoke=False)
+    assert report["lossless"]
 
 
 def test_sigkill_resume_from_sqlite_is_byte_identical() -> None:
@@ -253,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         "--keep-db",
         metavar="PATH",
         default=None,
-        help="copy the parity run's SQLite database here (CI artifact)",
+        help="copy the study's database here (CI artifact)",
     )
     from _harness import add_harness_args, emit, make_metric
 
@@ -262,25 +255,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.child:
         _resume_loop(args.child, window_seconds=0.1).run()
         return 0
-    parity = run_backend_parity(smoke=args.smoke, keep_db=args.keep_db)
+    migration = run_migration(smoke=args.smoke, keep_db=args.keep_db)
     resume = run_kill_resume()
     emit(
         "bench_store",
         smoke=args.smoke,
         metrics={
-            "winners_match": make_metric(
-                float(parity["winners_match"]), higher_is_better=True
+            "migration_lossless": make_metric(
+                float(migration["lossless"]), higher_is_better=True
             ),
             "resume_identical": make_metric(
                 float(resume["identical"]), higher_is_better=True
             ),
             "migrated_observations": make_metric(
-                float(parity["migrated_observations"]),
+                float(migration["migrated_observations"]),
                 higher_is_better=True,
             ),
         },
         meta={
-            "cells": parity["cells"],
+            "cells": migration["cells"],
             "killed_at": resume["killed_at"],
         },
         json_path=args.json,

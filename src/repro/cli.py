@@ -23,9 +23,10 @@ Usage::
 
 ``store`` inspects and migrates study stores (docs/STORE.md): ``ls``
 lists studies, cells, and observation counts; ``migrate`` copies every
-document between backends (a checkpoint directory ↔ a SQLite ``*.db``
-file, either direction, lossless); ``vacuum`` compacts.  Exit code 2
-signals a schema-version mismatch, matching ``obs perf-compare``.
+document from one store into another (lossless, merging into an
+existing database); ``vacuum`` compacts.  Exit code 2 signals a store
+this build does not read (a newer schema version, or a retired JSONL
+directory), matching ``obs perf-compare``.
 
 ``drift`` runs the continuous-tuning-under-drift comparison
 (docs/DRIFT.md): for each profile the same seed tunes through a
@@ -37,10 +38,10 @@ re-runs); the default is a scaled-down budget suitable for a laptop.
 ``--save DIR`` exports the underlying study runs as JSON;
 ``--load DIR`` re-renders figures from a previous export instead of
 re-running.  ``--resume`` checkpoints every study cell into a study
-store — a JSONL directory or a SQLite ``*.db`` file — after each
-observation and, when re-invoked with the same target after a crash,
-resumes from exactly where the campaign died (docs/ROBUSTNESS.md,
-docs/STORE.md).  ``--trace`` records the run as a JSONL
+store — a SQLite ``*.db`` file, or a directory holding ``store.db`` —
+after each observation and, when re-invoked with the same target after
+a crash, resumes from exactly where the campaign died
+(docs/ROBUSTNESS.md, docs/STORE.md).  ``--trace`` records the run as a JSONL
 observability trace (docs/OBSERVABILITY.md) that the ``obs``
 subcommands aggregate.
 
@@ -382,8 +383,8 @@ def main(argv: list[str] | None = None) -> int:
         "--resume",
         default=None,
         metavar="DIR|DB",
-        help="checkpoint study cells after every observation into DIR "
-        "(a JSONL store directory) or a *.db SQLite store, and resume "
+        help="checkpoint study cells after every observation into a "
+        "*.db SQLite store (or DIR/store.db), and resume "
         "any partial runs already there (crash-safe campaigns; see "
         "docs/ROBUSTNESS.md and docs/STORE.md)",
     )

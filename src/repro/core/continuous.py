@@ -28,11 +28,9 @@ observations spent after a drift event before the tuner is back within
 Each epoch's inner loop checkpoints through a
 :class:`~repro.store.base.StudyStore` (run names ``epoch-NNNN``), and
 the epoch-level state — detector, incumbent, detections — lands in the
-store's ``continuous`` state document, written atomically at each epoch
-boundary.  ``checkpoint_dir=`` remains the compatibility spelling: it
-opens a :class:`~repro.store.jsonl.JsonlStudyStore` on that directory
-under the empty cell label, which produces the exact pre-store layout —
-``epoch-NNNN.jsonl`` files plus a ``continuous.json`` sidecar.  A
+store's ``continuous`` state document (the *sidecar*), written
+atomically at each epoch boundary.  ``checkpoint_dir=DIR`` is shorthand
+for ``store=open_store(DIR)``, i.e. the database ``DIR/store.db``.  A
 SIGKILL at any point resumes byte-identically: completed epochs reload
 from their checkpoints, the partial epoch resumes exactly via the inner
 loop's optimizer snapshot, and the epoch-boundary work (monitor
@@ -60,10 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core ≤ store)
     from repro.store.base import StudyStore
 
 SIDECAR_VERSION = 1
-#: Name of the epoch-state document in the store; under the JSONL
-#: backend's empty cell label it is the literal ``continuous.json``
-#: sidecar file of the pre-store layout.
-SIDECAR_NAME = "continuous.json"
+#: Name of the epoch-state document (the sidecar) in the store.
 STATE_NAME = "continuous"
 
 MODES = ("continuous", "cold")
@@ -91,7 +86,7 @@ class EpochRecord:
 
     def boundary_as_dict(self) -> dict[str, object]:
         """The epoch-boundary fields (observations live in the epoch's
-        own checkpoint file, not the sidecar)."""
+        own checkpoint, not the sidecar)."""
         return {
             "index": self.index,
             "workload_time_s": self.workload_time_s,
@@ -209,19 +204,16 @@ class ContinuousTuningLoop:
             raise ValueError(
                 "pass either checkpoint_dir or a store, not both"
             )
-        self.checkpoint_dir = (
-            Path(checkpoint_dir) if checkpoint_dir is not None else None
-        )
         self.study = study
         self.cell = cell
         self.store = store
-        if self.store is None and self.checkpoint_dir is not None:
+        if self.store is None and checkpoint_dir is not None:
             # Imported lazily: the store layer sits above core, and this
-            # shim is the one place core reaches up — only when a caller
-            # asks for directory persistence by the pre-store spelling.
-            from repro.store.jsonl import JsonlStudyStore
+            # is the one place core reaches up — only when a caller
+            # names a store by its path.
+            from repro.store import open_store
 
-            self.store = JsonlStudyStore(self.checkpoint_dir)
+            self.store = open_store(checkpoint_dir)
         self.strategy_name = strategy_name or f"continuous-{mode}"
         self.trust_radius = float(trust_radius)
         self.mild_trust_radius = (

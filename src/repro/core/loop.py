@@ -33,15 +33,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.core.baselines import Optimizer
-from repro.core.checkpoint import (
-    CheckpointSlot,
-    FileCheckpointSlot,
-    TuningCheckpoint,
-)
+from repro.core.checkpoint import CheckpointSlot, TuningCheckpoint
 from repro.core.executor import EvaluationExecutor, SerialExecutor
 from repro.core.history import Observation, TuningResult
 from repro.core.resilience import ResilientExecutor, RetryPolicy
@@ -131,7 +126,6 @@ class TuningLoop:
         batch_size: int | None = None,
         seed: int | None = None,
         resilience: RetryPolicy | None = None,
-        checkpoint_path: str | Path | None = None,
         checkpoint: CheckpointSlot | None = None,
         diagnostics: bool | None = None,
     ) -> None:
@@ -159,22 +153,11 @@ class TuningLoop:
         #: policy (:mod:`repro.core.resilience`): the loop wraps its
         #: executor in a :class:`ResilientExecutor`.
         self.resilience = resilience
-        if checkpoint is not None and checkpoint_path is not None:
-            raise ValueError(
-                "pass either checkpoint_path or a checkpoint slot, not both"
-            )
         #: When set, the loop checkpoints history + optimizer state to
         #: this slot after every tell, and resumes from it when it holds
-        #: one (docs/ROBUSTNESS.md).  ``checkpoint_path=`` is the
-        #: standalone-JSONL-file shim (:class:`FileCheckpointSlot`);
-        #: ``checkpoint=`` accepts any slot, e.g. a study-store address
-        #: (:class:`repro.store.base.StoreCheckpointSlot`).
+        #: one (docs/ROBUSTNESS.md) — typically a study-store address
+        #: (:meth:`repro.store.base.StudyStore.checkpoint_slot`).
         self.checkpoint: CheckpointSlot | None = checkpoint
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
-        if self.checkpoint is None and self.checkpoint_path is not None:
-            self.checkpoint = FileCheckpointSlot(self.checkpoint_path)
         #: Online model-quality diagnostics (docs/OBSERVABILITY.md
         #: §diagnostics).  ``None`` (default) follows the obs session:
         #: active when one is, off when not — keeping the no-session

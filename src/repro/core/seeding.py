@@ -45,20 +45,3 @@ def derive_seed(base_seed: int, *identity: object) -> int:
     label = "|".join(str(part) for part in identity)
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
     return base_seed * _BASE_STRIDE + int.from_bytes(digest, "big")
-
-
-def label_digest(label: str, *, chars: int = 8) -> str:
-    """Short stable hex digest of a label (same blake2b family as
-    :func:`derive_seed`).
-
-    Used by the study store to disambiguate sanitized cell labels:
-    two labels that differ only in punctuation sanitize to the same
-    path-safe stem, and without a digest suffix their persisted state
-    would silently overwrite each other.
-    """
-    if chars < 1:
-        raise ValueError("chars must be >= 1")
-    digest = hashlib.blake2b(
-        label.encode("utf-8"), digest_size=(chars + 1) // 2
-    ).hexdigest()
-    return digest[:chars]

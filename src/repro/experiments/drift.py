@@ -60,12 +60,6 @@ from repro.topology_gen.suite import make_topology
 RECOVERY_FRACTION = 0.95
 
 
-def _is_sqlite_spec(spec: str | Path) -> bool:
-    """True when a ``--resume`` target names a SQLite store, not a dir."""
-    from repro.store import SQLITE_SUFFIXES
-
-    return Path(spec).suffix.lower() in SQLITE_SUFFIXES
-
 #: Latin-hypercube pool size for the per-epoch reference optimum.
 REFERENCE_POOL = 256
 
@@ -177,12 +171,10 @@ def build_drift_loop(
             codec.space, seed=opt_seed, init_points=scenario.init_points
         )
 
-    # A *.db resume target routes persistence through the SQLite study
-    # store — one database for the whole comparison, campaigns keyed by
-    # (scenario, mode) cell labels.  Directory targets keep the classic
-    # one-directory-per-campaign JSONL layout.
+    # One study store for the whole comparison (a *.db file, or
+    # DIR/store.db), campaigns keyed by (scenario, mode) cell labels.
     store_kwargs: dict[str, object] = {}
-    if checkpoint_dir is not None and _is_sqlite_spec(checkpoint_dir):
+    if checkpoint_dir is not None:
         from repro.store import open_store
 
         store_kwargs = {
@@ -190,7 +182,6 @@ def build_drift_loop(
             "study": "drift",
             "cell": f"{scenario.name}/{mode}",
         }
-        checkpoint_dir = None
     loop = ContinuousTuningLoop(
         objective,
         make_optimizer,
@@ -204,7 +195,6 @@ def build_drift_loop(
             threshold=scenario.detector_threshold,
         ),
         seed=seed,
-        checkpoint_dir=checkpoint_dir,
         **store_kwargs,  # type: ignore[arg-type]
         strategy_name=f"drift-{scenario.name}-{mode}",
         trust_radius=scenario.trust_radius,
@@ -337,16 +327,8 @@ def compare_modes(
         "references": references,
     }
     for mode in ("continuous", "cold"):
-        if checkpoint_dir is None:
-            mode_dir: str | Path | None = None
-        elif _is_sqlite_spec(checkpoint_dir):
-            # One shared database; build_drift_loop keys the campaign
-            # by (scenario, mode) cell inside it.
-            mode_dir = checkpoint_dir
-        else:
-            mode_dir = Path(checkpoint_dir) / scenario.name / mode
         result = run_drift_scenario(
-            scenario, mode, seed, checkpoint_dir=mode_dir
+            scenario, mode, seed, checkpoint_dir=checkpoint_dir
         )
         recovery = recovery_observations(result, scenario, references, seed)
         summary[mode] = {
@@ -403,8 +385,8 @@ def drift_main(argv: list[str]) -> int:
         "--resume",
         default=None,
         metavar="DIR|DB",
-        help="checkpoint each campaign under DIR (JSONL store) or into a "
-        "*.db SQLite store, and resume partial runs",
+        help="checkpoint each campaign into a study store (a *.db file, "
+        "or DIR/store.db) and resume partial runs",
     )
     parser.add_argument(
         "--trace",

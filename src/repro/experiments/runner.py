@@ -14,7 +14,7 @@ splitting, the process pool, obs events, failure aggregation — lives in
 :mod:`repro.service.campaign`, and persistence — per-pass checkpoints,
 finished-cell result caches, resume — in :mod:`repro.store` (a cell
 spec's ``checkpoint_dir`` is an :func:`repro.store.open_store` spec, so
-it accepts either a checkpoint directory or a SQLite ``*.db`` path).
+it accepts either a SQLite ``*.db`` path or a directory holding one).
 The campaign names (:class:`~repro.service.campaign.StudyError`,
 :func:`~repro.service.campaign.split_worker_budget`, ...) are
 re-exported here for backward compatibility.
@@ -191,8 +191,8 @@ class SyntheticCellSpec:
     seeds keep the observations order-independent.
 
     ``checkpoint_dir`` makes the cell crash-safe: it is an
-    :func:`repro.store.open_store` spec (a directory or a ``*.db``
-    file); each pass checkpoints its tuning loop to the store after
+    :func:`repro.store.open_store` spec (a ``*.db`` file, or a
+    directory holding ``store.db``); each pass checkpoints its tuning loop to the store after
     every ``tell``, and a finished cell saves its results there so a
     resumed study skips it entirely (see docs/STORE.md).
 

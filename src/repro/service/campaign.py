@@ -274,8 +274,8 @@ class CampaignSpec:
 
     ``study`` selects the grid family (``synthetic``: conditions ×
     sizes × strategies; ``sundog``: the Figure 8 arms).  ``store`` is an
-    :func:`repro.store.open_store` spec — a checkpoint directory or a
-    ``*.db`` file — or ``None`` for a purely in-memory campaign.
+    :func:`repro.store.open_store` spec — a ``*.db`` file or a
+    directory holding ``store.db`` — or ``None`` for a purely in-memory campaign.
     ``workers`` is a total concurrency budget split by
     :func:`split_worker_budget`; ``n_jobs`` sets cell processes directly
     when no budget is given.  ``resilience`` applies one

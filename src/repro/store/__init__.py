@@ -1,18 +1,17 @@
 """Study-store persistence layer (docs/STORE.md).
 
-One interface, two stdlib-only backends::
+One interface over one stdlib ``sqlite3`` database::
 
     from repro.store import open_store
 
-    store = open_store("ckpts")          # directory -> JsonlStudyStore
-    store = open_store("campaign.db")    # *.db      -> SqliteStudyStore
+    store = open_store("campaign.db")    # the database file itself
+    store = open_store("ckpts")          # directory -> ckpts/store.db
 
 Everything the tuning stack persists — run checkpoints, finished-cell
-results, continuous-tuning epoch state — flows through a
-:class:`~repro.store.base.StudyStore`, so a campaign can switch
-backends (or be migrated between them, see
-:func:`~repro.store.migrate.migrate_store`) without touching the loop
-or the experiment runner.
+results, continuous-tuning epoch state, fleet leases — flows through a
+:class:`~repro.store.base.StudyStore`, so the loop and the experiment
+runner never touch files; campaign databases merge with
+:func:`~repro.store.migrate.migrate_store`.
 """
 
 from __future__ import annotations
@@ -27,34 +26,50 @@ from repro.store.base import (
     StoreCheckpointSlot,
     StoreError,
     StudyStore,
-    cell_stem,
-    sanitize_label,
 )
-from repro.store.jsonl import JsonlStudyStore
 from repro.store.migrate import MigrationReport, migrate_store
 from repro.store.sqlite import SqliteStudyStore
 
-#: Path suffixes routed to the SQLite backend by :func:`open_store`.
+#: Path suffixes that name the database file itself in :func:`open_store`.
 SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
+
+#: The database file inside a directory spec (``DIR`` -> ``DIR/store.db``).
+STORE_FILENAME = "store.db"
+
+#: Files the retired JSONL directory backend left behind.
+_LEGACY_PATTERNS = ("store-index.json", "*.jsonl", "*.done.json")
 
 
 def open_store(spec: str | Path | StudyStore) -> StudyStore:
     """A store for ``spec``: a :class:`StudyStore` passes through, a
-    path ending in ``.db``/``.sqlite``/``.sqlite3`` opens the SQLite
-    backend, and anything else is a JSONL store directory (created on
-    first write) — which is how every pre-store ``--resume DIR`` and
-    ``checkpoint_dir=`` call site keeps its exact old behavior.
+    path ending in ``.db``/``.sqlite``/``.sqlite3`` is the database
+    file, and any other path is a directory holding ``store.db``
+    (created on open) — so ``--resume DIR`` and ``checkpoint_dir=DIR``
+    call sites name a directory exactly as before.
+
+    A directory left by the retired JSONL backend (its index or
+    ``*.jsonl``/``*.done.json`` documents, no ``store.db``) raises
+    :class:`SchemaVersionError` instead of silently opening an empty
+    database and re-running the campaign.
     """
     if isinstance(spec, StudyStore):
         return spec
     path = Path(spec)
     if path.suffix.lower() in SQLITE_SUFFIXES:
         return SqliteStudyStore(path)
-    return JsonlStudyStore(path)
+    database = path / STORE_FILENAME
+    if path.is_dir() and not database.exists():
+        for pattern in _LEGACY_PATTERNS:
+            if any(path.glob(pattern)):
+                raise SchemaVersionError(
+                    f"store directory {path} holds a JSONL study store "
+                    f"({pattern}); JSONL stores are no longer readable — "
+                    f"this build reads only SQLite stores ({database})"
+                )
+    return SqliteStudyStore(database)
 
 
 __all__ = [
-    "JsonlStudyStore",
     "Lease",
     "LeaseError",
     "MigrationReport",
@@ -64,9 +79,8 @@ __all__ = [
     "StoreCheckpointSlot",
     "StoreError",
     "StudyStore",
-    "cell_stem",
     "migrate_store",
     "open_store",
-    "sanitize_label",
     "SQLITE_SUFFIXES",
+    "STORE_FILENAME",
 ]

@@ -1,17 +1,11 @@
 """The study-store contract: who owns persisted tuning state.
 
-Before this layer existed, persistence was smeared across three places
-— :mod:`repro.core.checkpoint` JSONL files, per-cell ``pass``/``done``
-files inside the experiment runner, and ``continuous.json`` sidecars in
-:mod:`repro.core.continuous`.  :class:`StudyStore` centralizes all of
-it behind one interface with two interchangeable backends:
-
-* :class:`repro.store.jsonl.JsonlStudyStore` — a directory of
-  atomic-write JSONL/JSON files, bit-compatible with the pre-store
-  layout (``--resume DIR`` keeps working on old directories);
-* :class:`repro.store.sqlite.SqliteStudyStore` — one stdlib ``sqlite3``
-  database with a versioned schema and migration runner, safe for many
-  concurrent campaign processes.
+Everything the tuning stack persists — run checkpoints, finished-cell
+results, continuous-tuning epoch state, fleet leases — goes through
+:class:`StudyStore`.  Its one implementation is
+:class:`repro.store.sqlite.SqliteStudyStore`: one stdlib ``sqlite3``
+database with a versioned schema and migration runner, safe for many
+concurrent campaign processes.
 
 The data model is three kinds of documents under a ``(study, cell)``
 address:
@@ -23,13 +17,13 @@ checkpoint   one tuning run's :class:`~repro.core.checkpoint.
              TuningCheckpoint` (observations + optimizer snapshot),
              keyed by a run name (``pass0``, ``epoch-0003``, ...)
 results      a finished cell's :class:`~repro.core.history.
-             TuningResult` list (the runner's old ``done`` file)
+             TuningResult` list
 state        an arbitrary JSON document, keyed by name (the
-             continuous-tuning loop's old ``continuous.json``)
+             continuous-tuning loop's ``continuous`` epoch state)
 ===========  =====================================================
 
-``tests/test_store.py`` holds the shared contract suite both backends
-must pass; docs/STORE.md documents layouts and the migration CLI.
+``tests/test_store.py`` holds the contract suite; docs/STORE.md
+documents the schema and the store CLI.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from __future__ import annotations
 import abc
 import dataclasses
 import os
-import re
 import signal
 import time
 from dataclasses import dataclass
@@ -45,7 +38,6 @@ from typing import Mapping
 
 from repro.core.checkpoint import TuningCheckpoint
 from repro.core.history import TuningResult
-from repro.core.seeding import label_digest
 from repro.obs import runtime as obs_runtime
 
 
@@ -157,25 +149,6 @@ def _maybe_die(op: str) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def sanitize_label(label: str) -> str:
-    """Make a cell label path-safe (``/`` and spaces become ``_``)."""
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", label)
-
-
-def cell_stem(label: str) -> str:
-    """Collision-free path stem for a cell label.
-
-    Sanitizing alone is lossy: ``a/b`` and ``a.b`` both sanitize to the
-    same stem, and two such cells would silently overwrite each other's
-    ``done``/``pass`` files.  Appending a short blake2b digest of the
-    *raw* label (:func:`repro.core.seeding.label_digest`) keeps stems
-    readable while making distinct labels map to distinct files.
-    """
-    if not label:
-        return ""
-    return f"{sanitize_label(label)}-{label_digest(label)}"
-
-
 def _count(name: str, n: int = 1) -> None:
     """Fold one store operation into the active obs registry (no-op
     fast path when no session is active — same budget as the tracer)."""
@@ -185,12 +158,12 @@ def _count(name: str, n: int = 1) -> None:
 class StudyStore(abc.ABC):
     """Persistence for studies, cells, observations, and epoch state.
 
-    Subclasses implement the underscore hooks; the public methods add
-    uniform ``store.*`` metrics accounting on top so every backend
-    reports reads and writes the same way (docs/OBSERVABILITY.md).
+    The backend implements the underscore hooks; the public methods add
+    the ``store.*`` metrics accounting and the ``REPRO_STORE_KILL``
+    fault points on top (docs/OBSERVABILITY.md).
     """
 
-    #: Backend identifier (``jsonl`` / ``sqlite``) for events and `ls`.
+    #: Backend identifier for events and `store ls`.
     kind: str = "store"
 
     # ------------------------------------------------------------------
@@ -231,11 +204,10 @@ class StudyStore(abc.ABC):
     ) -> None:
         """Save results only while ``(owner, token)`` holds the lease.
 
-        The write and the fencing check are atomic on the SQLite
-        backend (one transaction) and check-then-atomic-rename on
-        JSONL; either way a worker reclaimed while it was computing
-        raises :class:`StaleLeaseError` instead of clobbering the new
-        owner's cell.
+        The write and the fencing check are one transaction, so a
+        worker reclaimed while it was computing raises
+        :class:`StaleLeaseError` instead of clobbering the new owner's
+        cell.
         """
         try:
             self._save_results_fenced(study, cell, results, owner, int(token))
@@ -411,6 +383,7 @@ class StudyStore(abc.ABC):
     @abc.abstractmethod
     def _leases(self, study: str) -> list[Lease]: ...
 
+    @abc.abstractmethod
     def _save_results_fenced(
         self,
         study: str,
@@ -419,21 +392,9 @@ class StudyStore(abc.ABC):
         owner: str,
         token: int,
     ) -> None:
-        # Check-then-write default; the SQLite backend overrides this
-        # with a single transaction so the check cannot race the write.
-        lease = self._read_lease(study, cell)
-        if (
-            lease is None
-            or lease.owner != owner
-            or lease.token != token
-            or lease.status != "leased"
-        ):
-            raise StaleLeaseError(
-                f"results for {study}/{cell or '(root)'} rejected: "
-                f"{owner!r} token {token} is not the current lease "
-                f"({'none' if lease is None else f'{lease.owner!r} token {lease.token} {lease.status}'})"
-            )
-        self._save_results(study, cell, results)
+        """Save ``results`` iff ``(owner, token)`` is the current
+        ``leased`` record, atomically; raise :class:`StaleLeaseError`
+        otherwise."""
 
     # ------------------------------------------------------------------
     # Enumeration (the `store ls` / migration surface)
@@ -453,29 +414,26 @@ class StudyStore(abc.ABC):
     @abc.abstractmethod
     def has_results(self, study: str, cell: str) -> bool: ...
 
+    @abc.abstractmethod
     def observation_count(self, study: str, cell: str) -> int:
         """Total observations across a cell's run checkpoints."""
-        total = 0
-        for run in self.runs(study, cell):
-            checkpoint = self.load_checkpoint(study, cell, run)
-            if checkpoint is not None:
-                total += checkpoint.completed
-        return total
 
     # ------------------------------------------------------------------
     # Lifecycle / maintenance
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def describe(self) -> str:
-        """Human-readable location (directory path, database file)."""
+        """Human-readable location (the database file)."""
 
+    @abc.abstractmethod
     def schema_version(self) -> int:
-        """The store's on-disk format version."""
-        return 1
+        """The store's on-disk schema version."""
 
+    @abc.abstractmethod
     def vacuum(self) -> None:
-        """Reclaim space / compact the backing storage (may be no-op)."""
+        """Reclaim space / compact the backing storage."""
 
+    @abc.abstractmethod
     def close(self) -> None:
         """Release backend resources; the store is unusable after."""
 
@@ -496,7 +454,7 @@ class StudyStore(abc.ABC):
 class StoreCheckpointSlot:
     """A :class:`~repro.core.checkpoint.CheckpointSlot` over one store
     address, handed to :class:`~repro.core.loop.TuningLoop` so the loop
-    checkpoints through the store without knowing the backend."""
+    checkpoints through the store without knowing its layout."""
 
     def __init__(
         self, store: StudyStore, study: str, cell: str, run: str

@@ -2,9 +2,10 @@
 
 Exit codes follow the ``obs perf-compare`` convention: 0 on success,
 1 on ordinary errors (missing store, bad arguments at runtime), and 2
-when a store's schema version is newer than this build understands
-(:class:`~repro.store.base.SchemaVersionError`) — the "upgrade the
-tool, don't trust the data" signal CI can branch on.
+when a store's format is one this build does not read — a schema
+version newer than this build, or a directory left by the retired
+JSONL backend (:class:`~repro.store.base.SchemaVersionError`): the
+"don't trust the data" signal CI can branch on.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def store_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments store",
         description="Inspect, migrate, and compact study stores "
-        "(a directory of JSONL checkpoints or a *.db SQLite file).",
+        "(a *.db SQLite file, or a directory holding store.db).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     ls = sub.add_parser(
@@ -59,12 +60,12 @@ def store_main(argv: list[str]) -> int:
     migrate = sub.add_parser(
         "migrate",
         help="copy every study/cell/checkpoint from SRC into DST "
-        "(backends inferred from the paths; lossless either direction)",
+        "(lossless; merges into an existing DST)",
     )
     migrate.add_argument("src", help="source store (directory or *.db)")
     migrate.add_argument("dst", help="destination store (directory or *.db)")
     vacuum = sub.add_parser(
-        "vacuum", help="compact the store / drop crash leftovers"
+        "vacuum", help="compact the store database"
     )
     vacuum.add_argument("store", help="store location (directory or *.db file)")
     args = parser.parse_args(argv)

@@ -2,11 +2,12 @@
 
 Copies every document the source store enumerates — run checkpoints,
 finished-cell results, named state documents — into the destination
-through the public :class:`~repro.store.base.StudyStore` interface, so
-any backend pair works in either direction.  Losslessness is pinned by
-the contract tests: a JSONL→SQLite→JSONL round trip must reproduce the
-original checkpoints byte-identically under
-:func:`repro.core.checkpoint.canonical_history`.
+through the public :class:`~repro.store.base.StudyStore` interface:
+merging campaign databases, or moving a study to a new file.
+Losslessness is pinned by the contract tests: a migrated seeded BO
+run's history must match the source byte-identically under
+:func:`repro.core.checkpoint.canonical_history`.  Leases are
+coordination state and are not copied.
 """
 
 from __future__ import annotations

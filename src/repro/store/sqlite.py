@@ -9,11 +9,14 @@ one created by a *newer* build raises
 (the store CLI maps that to exit code 2).
 
 Observations are stored as their canonical JSON payloads —
-``Observation.as_dict()`` verbatim — so a JSONL→SQLite→JSONL migration
-round-trips byte-identically under
+``Observation.as_dict()`` verbatim — so checkpoints read back and
+migrate between databases byte-identically under
 :func:`repro.core.checkpoint.canonical_history`.  WAL journaling plus a
 generous busy timeout make the single file safe for the campaign
 runner's process-parallel cells, which each open their own connection.
+``synchronous=FULL`` makes every committed write durable when it
+returns: a checkpoint saved before a power cut or SIGKILL is there on
+resume.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class SqliteStudyStore(StudyStore):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_MS / 1000)
         self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute("PRAGMA synchronous=FULL")
         self._conn.execute("PRAGMA foreign_keys=ON")
         self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         #: Busy-retry knobs, patchable in tests (jitter only perturbs
@@ -291,9 +294,8 @@ class SqliteStudyStore(StudyStore):
                     (cell_id, run),
                 ).fetchone()[0]
             )
-            # The checkpoint is a whole-state replacement, exactly like
-            # the JSONL atomic rewrite: drop any rows past the new
-            # history before (re)writing the current one.
+            # The checkpoint is a whole-state replacement: drop any rows
+            # past the new history before (re)writing the current one.
             conn.execute(
                 "DELETE FROM observations WHERE run_id = ? AND step >= ?",
                 (run_id, len(checkpoint.observations)),
@@ -344,9 +346,9 @@ class SqliteStudyStore(StudyStore):
                     Observation.from_dict(json.loads(payload))
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                # Mirror the JSONL torn-tail contract: stop at the first
-                # bad record, keep the trusted prefix, and *name* the
-                # rejected row so the operator can inspect it.
+                # Stop at the first bad record, keep the trusted prefix,
+                # and *name* the rejected row so the operator can
+                # inspect it.
                 warnings.warn(
                     f"store {self.path}: observations rowid {rowid} for run "
                     f"{study}/{cell}/{run} is malformed ({exc}); keeping the "
@@ -587,8 +589,7 @@ class SqliteStudyStore(StudyStore):
 
     def cells(self, study: str) -> list[str]:
         # A cell counts once it holds *content* (runs, results, or
-        # state).  A bare lease row is coordination metadata — matching
-        # the JSONL backend, which never enumerates lease files.
+        # state).  A bare lease row is coordination metadata.
         return [
             str(row[0])
             for row in self._conn.execute(

@@ -18,8 +18,8 @@ import pytest
 
 from repro.core.checkpoint import canonical_history
 from repro.core.continuous import (
-    SIDECAR_NAME,
     SIDECAR_VERSION,
+    STATE_NAME,
     ContinuousTuningLoop,
 )
 from repro.core.drift import PageHinkleyDetector
@@ -465,12 +465,14 @@ class TestContinuousTuningLoop:
             ).run()
 
     def test_sidecar_version_mismatch_starts_fresh(self, tmp_path):
+        from repro.store import open_store
+
         _loop(DriftingParabola(), epochs=2, checkpoint_dir=tmp_path).run()
-        sidecar = tmp_path / SIDECAR_NAME
-        data = json.loads(sidecar.read_text())
-        assert data["version"] == SIDECAR_VERSION
-        data["version"] = 99
-        sidecar.write_text(json.dumps(data))
+        with open_store(tmp_path) as store:
+            data = store.load_state("continuous", "", STATE_NAME)
+            assert data["version"] == SIDECAR_VERSION
+            data["version"] = 99
+            store.save_state("continuous", "", STATE_NAME, data)
         resumed = _loop(DriftingParabola(), checkpoint_dir=tmp_path).run()
         assert resumed.metadata["resumed_epochs"] == 0
 

@@ -1,8 +1,8 @@
 """Lease primitives, the cell queue, and the crash-safe worker loop.
 
-The lease contract runs against both backends: one winner per claim,
-monotonic fencing tokens, wall-clock expiry, fenced result writes that
-a stale owner cannot use to clobber a newer owner's cell.  On top of
+The lease contract: one winner per claim, monotonic fencing tokens,
+wall-clock expiry, fenced result writes that a stale owner cannot use
+to clobber a newer owner's cell.  On top of
 it, :class:`~repro.service.queue.CellQueue` ordering/reclaim behavior
 and :func:`~repro.service.queue.run_worker` end-to-end: commit,
 torn-commit repair, poisoned-cell quarantine, bounded retries of
@@ -20,24 +20,15 @@ import pytest
 from repro.core.history import Observation, TuningResult
 from repro.service.campaign import CampaignSpec, store_cell_label
 from repro.service.queue import CellQueue, QueuePolicy, WorkerReport, run_worker
-from repro.store import (
-    JsonlStudyStore,
-    Lease,
-    SqliteStudyStore,
-    StaleLeaseError,
-    open_store,
-)
+from repro.store import Lease, SqliteStudyStore, StaleLeaseError, open_store
 
 STUDY = "synthetic"
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
-def store(request, tmp_path):
-    if request.param == "jsonl":
-        backend = JsonlStudyStore(tmp_path / "store-dir")
-    else:
-        backend = SqliteStudyStore(tmp_path / "store.db")
-    with backend:
+# One param: it only keeps the suite's ``[sqlite]`` test ids stable.
+@pytest.fixture(params=["sqlite"])
+def store(tmp_path):
+    with SqliteStudyStore(tmp_path / "store.db") as backend:
         yield backend
 
 
@@ -50,7 +41,7 @@ def _results(value=1.0):
 
 
 class TestLeaseContract:
-    """Both backends must satisfy every test in this class."""
+    """The store must satisfy every test in this class."""
 
     def test_acquire_returns_a_fresh_lease(self, store):
         lease = store.acquire_lease(STUDY, "a", "w1", 30.0)
@@ -147,43 +138,6 @@ class TestLeaseContract:
     def test_lease_round_trips_through_dict(self, store):
         lease = store.acquire_lease(STUDY, "a", "w1", 30.0)
         assert Lease.from_dict(lease.as_dict()) == lease
-
-
-class TestJsonlLeaseFiles:
-    def test_vacuum_prunes_superseded_lease_files(self, tmp_path):
-        with JsonlStudyStore(tmp_path / "s") as store:
-            store.acquire_lease(STUDY, "a", "w1", 0.01, now=1000.0)
-            store.acquire_lease(STUDY, "a", "w2", 0.01, now=2000.0)
-            lease = store.acquire_lease(STUDY, "a", "w3", 30.0, now=3000.0)
-            files = list((tmp_path / "s").glob("**/*lease-*.json"))
-            assert len(files) == 3
-            store.vacuum()
-            files = list((tmp_path / "s").glob("**/*lease-*.json"))
-            assert len(files) == 1
-            current = store.read_lease(STUDY, "a")
-            assert (current.owner, current.token) == ("w3", lease.token)
-
-    def test_vacuum_keeps_the_readable_lease_under_a_torn_claim(
-        self, tmp_path
-    ):
-        # The top token file can be a torn claim (created, JSON never
-        # landed).  vacuum must keep the highest *readable* lease too —
-        # deleting it would erase the cell's attempts counter and last
-        # failure reason, resetting the poisoned-cell quarantine bound.
-        with JsonlStudyStore(tmp_path / "s") as store:
-            store.acquire_lease(STUDY, "a", "w1", 0.01, now=1000.0)
-            lease = store.acquire_lease(STUDY, "a", "w2", 30.0, now=2000.0)
-            store.release_lease(lease, reason="flaky")
-            store._lease_path("a", lease.token + 1).write_text("")
-            store.vacuum()
-            current = store.read_lease(STUDY, "a")
-            assert current is not None
-            assert (current.owner, current.token) == ("w2", lease.token)
-            assert (current.attempts, current.reason) == (2, "flaky")
-            # The torn top file survives so tokens stay monotonic.
-            again = store.acquire_lease(STUDY, "a", "w3", 30.0, now=3000.0)
-            assert again.token == lease.token + 2
-            assert again.attempts == 3
 
 
 class TestQueuePolicy:

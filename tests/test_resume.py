@@ -1,14 +1,13 @@
 """Crash-safe checkpointing and resume.
 
 The acceptance criterion: a campaign killed with ``SIGKILL`` mid-run
-and resumed from its checkpoint produces a byte-identical observation
-history (:func:`repro.core.checkpoint.canonical_history`) to the
-uninterrupted run.
+and resumed from its study-store checkpoint produces a byte-identical
+observation history (:func:`repro.core.checkpoint.canonical_history`)
+to the uninterrupted run.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 import subprocess
@@ -21,14 +20,11 @@ import pytest
 
 from repro.core.baselines import GridAscentOptimizer
 from repro.core.checkpoint import (
-    TuningCheckpoint,
     atomic_write_text,
     canonical_history,
     histories_match,
-    load_checkpoint,
-    save_checkpoint,
 )
-from repro.core.continuous import SIDECAR_NAME, ContinuousTuningLoop
+from repro.core.continuous import STATE_NAME, ContinuousTuningLoop
 from repro.core.history import Observation
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
@@ -41,7 +37,12 @@ from repro.experiments.runner import (
     evaluation_failure_rows,
     run_synthetic_cell,
 )
+from repro.store import STORE_FILENAME, SqliteStudyStore, open_store
 from repro.topology_gen.suite import CONDITIONS
+
+
+#: Subprocess children run from the repository root (``src`` on path).
+_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _objective(params):
@@ -52,59 +53,7 @@ def _space():
     return ParameterSpace([IntParameter("x", 1, 32)])
 
 
-def _observations(n=3):
-    return [
-        Observation(step=i, config={"x": i + 1}, value=float(i * 10))
-        for i in range(n)
-    ]
-
-
 class TestCheckpointFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        ckpt = TuningCheckpoint(
-            strategy="bo",
-            seed=7,
-            max_steps=10,
-            observations=_observations(),
-            optimizer_state={"kind": "test"},
-        )
-        save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path)
-        assert loaded is not None
-        assert loaded.strategy == "bo"
-        assert loaded.seed == 7
-        assert loaded.max_steps == 10
-        assert loaded.completed == 3
-        assert loaded.optimizer_state == {"kind": "test"}
-        assert histories_match(loaded.observations, ckpt.observations)
-
-    def test_missing_file(self, tmp_path):
-        assert load_checkpoint(tmp_path / "absent.jsonl") is None
-
-    def test_torn_tail_is_dropped(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        save_checkpoint(
-            path, TuningCheckpoint(strategy="bo", observations=_observations())
-        )
-        text = path.read_text().rstrip("\n")
-        path.write_text(text[: len(text) - 20])  # simulate a torn write
-        with pytest.warns(RuntimeWarning) as caught:
-            loaded = load_checkpoint(path)
-        assert loaded is not None
-        assert loaded.completed == 2  # last record was torn, rest kept
-        # The warning must name the exact rejected record — which file
-        # and which line — so a post-hoc resume diagnosis can find it.
-        message = str(caught[0].message)
-        assert str(path) in message
-        assert "line 4" in message
-        assert "keeping the 2 observation(s)" in message
-
-    def test_no_meta_means_no_checkpoint(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        path.write_text(json.dumps({"type": "observation", "step": 0}) + "\n")
-        assert load_checkpoint(path) is None
-
     def test_atomic_write_creates_parents(self, tmp_path):
         path = tmp_path / "a" / "b" / "file.txt"
         atomic_write_text(path, "hello")
@@ -130,21 +79,6 @@ class TestCheckpointFile:
         )
         assert canonical_history([ok]) != canonical_history([bad])
 
-    def test_version_mismatch_is_rejected_with_warning(self, tmp_path):
-        """A checkpoint written by a different format version must not
-        be silently parsed into garbage — warn and start fresh."""
-        path = tmp_path / "run.jsonl"
-        save_checkpoint(
-            path, TuningCheckpoint(strategy="bo", observations=_observations())
-        )
-        lines = path.read_text().splitlines()
-        meta = json.loads(lines[0])
-        meta["version"] = 999
-        lines[0] = json.dumps(meta)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.warns(RuntimeWarning, match="version"):
-            assert load_checkpoint(path) is None
-
     def test_atomic_write_fsyncs_the_directory(self, tmp_path, monkeypatch):
         """os.replace lives in directory metadata; without a directory
         fsync a power cut can forget the rename after the data synced."""
@@ -161,30 +95,42 @@ class TestCheckpointFile:
         assert True in synced_kinds  # the rename, in directory metadata
 
 
+def _load(db):
+    """The checkpoint a test loop saved into the store at ``db``."""
+    with SqliteStudyStore(db) as store:
+        return store.load_checkpoint("resume", "cell", "pass0")
+
+
+def _loop(objective, optimizer, db, **kwargs):
+    """A loop checkpointing to ``db``; runs it and closes the store."""
+    with SqliteStudyStore(db) as store:
+        return TuningLoop(
+            objective,
+            optimizer,
+            checkpoint=store.checkpoint_slot("resume", "cell", "pass0"),
+            **kwargs,
+        ).run()
+
+
 class TestLoopCheckpointing:
     def test_checkpoint_written_after_every_tell(self, tmp_path):
-        path = tmp_path / "run.jsonl"
+        db = tmp_path / "run.db"
         opt = BayesianOptimizer(_space(), seed=0)
-        result = TuningLoop(
-            _objective, opt, max_steps=4, seed=1, checkpoint_path=path
-        ).run()
-        loaded = load_checkpoint(path)
+        result = _loop(_objective, opt, db, max_steps=4, seed=1)
+        loaded = _load(db)
         assert loaded is not None
         assert loaded.completed == 4
         assert loaded.optimizer_state is not None
         assert histories_match(loaded.observations, result.observations)
 
     def test_exact_resume_matches_uninterrupted(self, tmp_path):
-        def run(max_steps, path):
+        def run(max_steps, db):
             opt = BayesianOptimizer(_space(), seed=3)
-            return TuningLoop(
-                _objective, opt, max_steps=max_steps, seed=11,
-                checkpoint_path=path,
-            ).run()
+            return _loop(_objective, opt, db, max_steps=max_steps, seed=11)
 
-        full = run(6, tmp_path / "full.jsonl")
-        run(3, tmp_path / "cut.jsonl")  # the "crashed" half-run
-        resumed = run(6, tmp_path / "cut.jsonl")
+        full = run(6, tmp_path / "full.db")
+        run(3, tmp_path / "cut.db")  # the "crashed" half-run
+        resumed = run(6, tmp_path / "cut.db")
         assert resumed.metadata["resumed_steps"] == 3
         assert histories_match(resumed.observations, full.observations)
         assert canonical_history(resumed.observations) == canonical_history(
@@ -194,21 +140,21 @@ class TestLoopCheckpointing:
     def test_replay_resume_for_stateless_optimizer(self, tmp_path):
         configs = [{"x": v} for v in (1, 2, 3, 4, 5, 6)]
 
-        def run(max_steps, path):
+        def run(max_steps, db):
             opt = GridAscentOptimizer(configs)
-            return TuningLoop(
-                _objective, opt, max_steps=max_steps, seed=2,
-                checkpoint_path=path, strategy_name="grid",
-            ).run()
+            return _loop(
+                _objective, opt, db, max_steps=max_steps, seed=2,
+                strategy_name="grid",
+            )
 
-        full = run(6, tmp_path / "full.jsonl")
-        run(2, tmp_path / "cut.jsonl")
-        resumed = run(6, tmp_path / "cut.jsonl")
+        full = run(6, tmp_path / "full.db")
+        run(2, tmp_path / "cut.db")
+        resumed = run(6, tmp_path / "cut.db")
         assert resumed.metadata["resumed_steps"] == 2
         assert histories_match(resumed.observations, full.observations)
 
     def test_completed_checkpoint_short_circuits_the_loop(self, tmp_path):
-        path = tmp_path / "run.jsonl"
+        db = tmp_path / "run.db"
         calls = []
 
         def counting(params):
@@ -216,14 +162,10 @@ class TestLoopCheckpointing:
             return _objective(params)
 
         opt = BayesianOptimizer(_space(), seed=0)
-        TuningLoop(
-            counting, opt, max_steps=3, seed=1, checkpoint_path=path
-        ).run()
+        _loop(counting, opt, db, max_steps=3, seed=1)
         n_first = len(calls)
         opt2 = BayesianOptimizer(_space(), seed=0)
-        result = TuningLoop(
-            counting, opt2, max_steps=3, seed=1, checkpoint_path=path
-        ).run()
+        result = _loop(counting, opt2, db, max_steps=3, seed=1)
         assert len(calls) == n_first  # nothing re-evaluated
         assert result.metadata["resumed_steps"] == 3
 
@@ -232,7 +174,7 @@ class TestLoopCheckpointing:
 class TestKillMidRun:
     def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
         """kill -9 a checkpointing run; resume reproduces the history."""
-        ckpt = tmp_path / "killed.jsonl"
+        db = tmp_path / "killed.db"
         script = tmp_path / "child.py"
         script.write_text(
             textwrap.dedent(
@@ -241,6 +183,7 @@ class TestKillMidRun:
                 from repro.core.loop import TuningLoop
                 from repro.core.optimizer import BayesianOptimizer
                 from repro.core.parameters import IntParameter, ParameterSpace
+                from repro.store import SqliteStudyStore
 
                 def objective(params):
                     time.sleep(0.1)  # slow enough to die mid-run
@@ -248,22 +191,24 @@ class TestKillMidRun:
 
                 space = ParameterSpace([IntParameter("x", 1, 32)])
                 opt = BayesianOptimizer(space, seed=3)
+                store = SqliteStudyStore(sys.argv[1])
                 TuningLoop(
                     objective, opt, max_steps=16, seed=11,
-                    checkpoint_path=sys.argv[1],
+                    checkpoint=store.checkpoint_slot("resume", "cell", "pass0"),
                 ).run()
                 """
             )
         )
+        SqliteStudyStore(db).close()  # create the schema before polling
         proc = subprocess.Popen(
-            [sys.executable, str(script), str(ckpt)],
-            cwd="/root/repo",
+            [sys.executable, str(script), str(db)],
+            cwd=_REPO_ROOT,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         try:
             deadline = time.time() + 60
             while time.time() < deadline:
-                loaded = load_checkpoint(ckpt)
+                loaded = _load(db)
                 if loaded is not None and loaded.completed >= 2:
                     break
                 if proc.poll() is not None:
@@ -272,7 +217,7 @@ class TestKillMidRun:
             proc.kill()  # SIGKILL: no atexit, no cleanup
         finally:
             proc.wait()
-        killed = load_checkpoint(ckpt)
+        killed = _load(db)
         assert killed is not None
         assert 0 < killed.completed < 16, "child died mid-run as intended"
 
@@ -282,13 +227,10 @@ class TestKillMidRun:
             max_steps=16,
             seed=11,
         ).run()
-        resumed = TuningLoop(
-            _objective,
-            BayesianOptimizer(_space(), seed=3),
-            max_steps=16,
-            seed=11,
-            checkpoint_path=ckpt,
-        ).run()
+        resumed = _loop(
+            _objective, BayesianOptimizer(_space(), seed=3), db,
+            max_steps=16, seed=11,
+        )
         assert resumed.metadata["resumed_steps"] == killed.completed
         assert canonical_history(resumed.observations) == canonical_history(
             reference.observations
@@ -379,24 +321,23 @@ class TestKillMidDrift:
         )
 
         def past_detection():
-            sidecar = ckpt_dir / SIDECAR_NAME
-            if not sidecar.is_file():
+            if not (ckpt_dir / STORE_FILENAME).is_file():
                 return False
-            try:
-                data = json.loads(sidecar.read_text())
-            except (OSError, json.JSONDecodeError):
-                return False
-            if not data.get("detections"):
-                return False
-            completed = int(data.get("epochs_completed", 0))
-            if completed >= 4:
-                return False
-            partial = load_checkpoint(ckpt_dir / f"epoch-{completed:04d}.jsonl")
+            with open_store(ckpt_dir) as store:
+                data = store.load_state("continuous", "", STATE_NAME)
+                if data is None or not data.get("detections"):
+                    return False
+                completed = int(data.get("epochs_completed", 0))
+                if completed >= 4:
+                    return False
+                partial = store.load_checkpoint(
+                    "continuous", "", f"epoch-{completed:04d}"
+                )
             return partial is not None and partial.completed >= 1
 
         proc = subprocess.Popen(
             [sys.executable, str(script), str(ckpt_dir)],
-            cwd="/root/repo",
+            cwd=_REPO_ROOT,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         killed_mid_run = False
@@ -442,9 +383,11 @@ class TestStudyCheckpointing:
 
     def test_cell_writes_pass_and_done_files(self, tmp_path):
         results = run_synthetic_cell(self._spec(tmp_path))
-        files = {p.name for p in Path(tmp_path).iterdir()}
-        assert any(name.endswith(".pass0.jsonl") for name in files)
-        assert any(name.endswith(".done.json") for name in files)
+        assert (tmp_path / STORE_FILENAME).is_file()
+        with open_store(tmp_path) as store:
+            (cell,) = store.cells("synthetic")
+            assert store.runs("synthetic", cell) == ["pass0"]
+            assert store.has_results("synthetic", cell)
         assert results[0].observations
 
     def test_done_cell_is_not_rerun(self, tmp_path):
@@ -465,9 +408,9 @@ class TestStudyCheckpointing:
         )
         assert study.specs()[0].checkpoint_dir == str(tmp_path)
         study.run()
-        assert any(
-            p.name.endswith(".done.json") for p in Path(tmp_path).iterdir()
-        )
+        with open_store(tmp_path) as store:
+            (cell,) = store.cells("synthetic")
+            assert store.has_results("synthetic", cell)
 
 
 class TestStudyErrorAggregation:
@@ -546,10 +489,12 @@ class TestCliResume:
         assert main(["fig5", "--resume", str(resume_dir)]) == 0
         first = capsys.readouterr().out
         assert "Figure 5" in first
-        done_files = list(resume_dir.glob("*.done.json"))
-        assert done_files
+        with open_store(resume_dir) as store:
+            cells = store.cells("synthetic")
+            assert cells
+            assert all(store.has_results("synthetic", c) for c in cells)
 
-        # Second invocation resumes from the done files: same exhibit.
+        # Second invocation resumes from the stored results: same exhibit.
         assert main(["fig5", "--resume", str(resume_dir)]) == 0
         second = capsys.readouterr().out
         assert first.splitlines()[-5:] == second.splitlines()[-5:]

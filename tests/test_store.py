@@ -1,17 +1,15 @@
-"""Study-store contract, backends, migration, and the store CLI.
+"""Study-store contract, the SQLite schema, migration, and the store CLI.
 
-The shared contract suite runs against both backends: whatever one can
-persist and enumerate, the other must too, byte-identically under
-:func:`repro.core.checkpoint.canonical_history`.  Backend-specific
-classes pin the JSONL layout compatibility (legacy stems, the
-collision-proof digest suffix, index versioning) and the SQLite schema
-machinery (migration runner, future-version refusal, torn-row
-diagnostics).
+The contract suite pins what the store persists and enumerates,
+byte-identically under :func:`repro.core.checkpoint.canonical_history`.
+The SQLite classes pin the schema machinery (migration runner,
+future-version refusal, torn-row diagnostics, busy retries), and
+:class:`TestOpenStore` the two path spellings plus the refusal of
+directories left by the retired JSONL backend.
 """
 
 from __future__ import annotations
 
-import json
 import sqlite3
 
 import pytest
@@ -27,15 +25,12 @@ from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.parameters import IntParameter, ParameterSpace
 from repro.store import (
-    JsonlStudyStore,
+    STORE_FILENAME,
     SchemaVersionError,
     SqliteStudyStore,
-    cell_stem,
     migrate_store,
     open_store,
-    sanitize_label,
 )
-from repro.store.jsonl import INDEX_NAME, INDEX_VERSION
 from repro.store.sqlite import MIGRATIONS, SCHEMA_VERSION
 
 
@@ -71,18 +66,15 @@ def _results():
     return [result]
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
-def store(request, tmp_path):
-    if request.param == "jsonl":
-        backend = JsonlStudyStore(tmp_path / "store-dir")
-    else:
-        backend = SqliteStudyStore(tmp_path / "store.db")
-    with backend:
+# One param: it only keeps the suite's ``[sqlite]`` test ids stable.
+@pytest.fixture(params=["sqlite"])
+def store(tmp_path):
+    with SqliteStudyStore(tmp_path / "store.db") as backend:
         yield backend
 
 
 class TestStoreContract:
-    """Both backends must satisfy every test in this class."""
+    """The store must satisfy every test in this class."""
 
     def test_checkpoint_round_trip(self, store):
         ckpt = _checkpoint(state={"kind": "test", "n": 3})
@@ -99,7 +91,7 @@ class TestStoreContract:
 
     def test_derived_seed_beyond_64_bits_round_trips(self, store):
         # derive_seed routinely exceeds SQLite's signed INTEGER range;
-        # both backends must round-trip it losslessly.
+        # the store must round-trip it losslessly.
         from repro.core.seeding import derive_seed
 
         big = derive_seed(123456789, "cell", "bo")
@@ -184,57 +176,13 @@ class TestStoreContract:
 
 
 class TestLabelCollisions:
-    """The satellite-1 regression: sanitize-only stems collide."""
+    """Labels that differ only in punctuation are distinct cells."""
 
-    def test_sanitized_labels_collide_without_digest(self):
-        assert sanitize_label("a/b") == sanitize_label("a b") == "a_b"
-        assert cell_stem("a/b") != cell_stem("a b")
-        for label in ("a/b", "a b"):
-            assert cell_stem(label).startswith("a_b-")
-
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_colliding_labels_do_not_clobber(self, tmp_path, backend):
-        store = (
-            JsonlStudyStore(tmp_path)
-            if backend == "jsonl"
-            else SqliteStudyStore(tmp_path / "s.db")
-        )
-        with store:
-            store.save_checkpoint("s", "a/b", "pass0", _checkpoint(2))
-            store.save_checkpoint("s", "a b", "pass0", _checkpoint(5))
-            assert store.load_checkpoint("s", "a/b", "pass0").completed == 2
-            assert store.load_checkpoint("s", "a b", "pass0").completed == 5
-
-
-class TestJsonlBackend:
-    def test_layout_is_bit_compatible_with_pre_store_names(self, tmp_path):
-        store = JsonlStudyStore(tmp_path)
-        store.save_checkpoint("synthetic", "a/b", "pass0", _checkpoint())
-        store.save_results("synthetic", "a/b", _results())
-        store.save_state("continuous", "", "continuous", {"version": 1})
-        names = {p.name for p in tmp_path.iterdir()}
-        stem = cell_stem("a/b")
-        assert f"{stem}.pass0.jsonl" in names
-        assert f"{stem}.done.json" in names
-        # Empty cell → bare document names: the continuous-tuning
-        # sidecar stays the literal continuous.json.
-        assert "continuous.json" in names
-
-    def test_index_version_mismatch_raises(self, tmp_path):
-        (tmp_path / INDEX_NAME).write_text(
-            json.dumps({"version": INDEX_VERSION + 1, "cells": {}})
-        )
-        store = JsonlStudyStore(tmp_path)
-        with pytest.raises(SchemaVersionError):
-            store.save_checkpoint("s", "c", "r", _checkpoint())
-
-    def test_vacuum_removes_crash_leftovers(self, tmp_path):
-        store = JsonlStudyStore(tmp_path)
-        store.save_checkpoint("s", "c", "r", _checkpoint())
-        (tmp_path / "run.jsonl.abc123.tmp").write_text("torn")
-        store.vacuum()
-        assert not list(tmp_path.glob("*.tmp"))
-        assert store.load_checkpoint("s", "c", "r") is not None
+    def test_colliding_labels_do_not_clobber(self, store):
+        store.save_checkpoint("s", "a/b", "pass0", _checkpoint(2))
+        store.save_checkpoint("s", "a b", "pass0", _checkpoint(5))
+        assert store.load_checkpoint("s", "a/b", "pass0").completed == 2
+        assert store.load_checkpoint("s", "a b", "pass0").completed == 5
 
 
 class TestSqliteBackend:
@@ -411,20 +359,91 @@ class TestSqliteBusyRetry:
 
 class TestOpenStore:
     def test_routing_by_suffix(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "x.db"), SqliteStudyStore)
-        assert isinstance(open_store(tmp_path / "x.sqlite3"), SqliteStudyStore)
-        assert isinstance(open_store(tmp_path / "ckpts"), JsonlStudyStore)
+        for name in ("x.db", "x.sqlite3"):
+            with open_store(tmp_path / name) as store:
+                assert isinstance(store, SqliteStudyStore)
+                assert store.path == tmp_path / name
+        with open_store(tmp_path / "ckpts") as store:
+            assert isinstance(store, SqliteStudyStore)
+            assert store.path == tmp_path / "ckpts" / STORE_FILENAME
 
     def test_store_passes_through(self, tmp_path):
-        store = JsonlStudyStore(tmp_path)
-        assert open_store(store) is store
+        with SqliteStudyStore(tmp_path / "s.db") as store:
+            assert open_store(store) is store
+
+    def test_directory_spec_creates_store_db_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        """``DIR`` opens ``DIR/store.db``; a second study over the same
+        directory is served from it without a single evaluation."""
+        from repro.core.executor import SerialExecutor
+        from repro.experiments.presets import Budget
+        from repro.experiments.runner import SyntheticStudy
+        from repro.topology_gen.suite import CONDITIONS
+
+        ckpt = tmp_path / "ckpts"
+        open_store(ckpt).close()
+        assert (ckpt / STORE_FILENAME).is_file()
+
+        evaluations = []
+        wait_one = SerialExecutor.wait_one
+
+        def counting(self, *args, **kwargs):
+            evaluations.append(1)
+            return wait_one(self, *args, **kwargs)
+
+        monkeypatch.setattr(SerialExecutor, "wait_one", counting)
+
+        def study():
+            return SyntheticStudy(
+                Budget(
+                    steps=3, steps_extended=3, baseline_steps=3, passes=1,
+                    repeat_best=2,
+                ),
+                conditions=[CONDITIONS[0]],
+                sizes=["small"],
+                strategies=["pla"],
+                checkpoint_dir=str(ckpt),
+            ).run()
+
+        first = study()
+        assert evaluations
+        evaluations.clear()
+        again = study()
+        assert evaluations == []
+        assert first.results.keys() == again.results.keys()
+        for key, passes in first.results.items():
+            assert histories_match(
+                passes[0].observations, again.results[key][0].observations
+            )
+
+    @pytest.mark.parametrize(
+        "leftover", ["store-index.json", "c-1a2b3c4d.pass0.jsonl", "c.done.json"]
+    )
+    def test_legacy_jsonl_directory_is_refused(self, tmp_path, leftover):
+        legacy = tmp_path / "old"
+        legacy.mkdir()
+        (legacy / leftover).write_text("{}")
+        with pytest.raises(SchemaVersionError) as info:
+            open_store(legacy)
+        assert str(legacy) in str(info.value)
+        assert "no longer readable" in str(info.value)
+        # Refused, not silently restarted on an empty database.
+        assert not (legacy / STORE_FILENAME).exists()
+
+    def test_directory_with_a_database_ignores_stray_jsonl(self, tmp_path):
+        root = tmp_path / "ckpts"
+        open_store(root).close()
+        (root / "trace.jsonl").write_text("{}")
+        with open_store(root) as store:
+            assert store.path == root / STORE_FILENAME
 
 
 class TestMigration:
     def test_round_trip_is_byte_identical_for_a_seeded_bo_run(self, tmp_path):
-        """The acceptance criterion: JSONL → SQLite → JSONL preserves a
-        seeded 30-step BO run's history byte-for-byte."""
-        source = JsonlStudyStore(tmp_path / "src")
+        """Migrating a store twice (file → file → directory spelling)
+        preserves a seeded 30-step BO run's history byte-for-byte."""
+        source = SqliteStudyStore(tmp_path / "src.db")
         slot = source.checkpoint_slot("synthetic", "cell/a", "pass0")
         result = TuningLoop(
             _objective,
@@ -443,9 +462,10 @@ class TestMigration:
         assert report.results == 1
         assert report.states == 1
 
-        back = JsonlStudyStore(tmp_path / "dst")
+        back = open_store(tmp_path / "dst")
         migrate_store(db, back)
         db.close()
+        source.close()
         loaded = back.load_checkpoint("synthetic", "cell/a", "pass0")
         assert canonical_history(loaded.observations) == canonical_history(
             result.observations
@@ -455,6 +475,7 @@ class TestMigration:
         assert histories_match(
             migrated_results[0].observations, result.observations
         )
+        back.close()
 
     def test_resume_through_sqlite_matches_uninterrupted(self, tmp_path):
         """Kill-free variant of the resume criterion: a run cut at 15
@@ -528,11 +549,17 @@ class TestStoreCli:
         assert cli_main(["store", "ls", str(path)]) == 2
         assert "SCHEMA VERSION MISMATCH" in capsys.readouterr().out
 
-    def test_jsonl_index_mismatch_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["ls", "vacuum", "migrate"])
+    def test_legacy_jsonl_directory_exits_two(self, tmp_path, capsys, command):
         root = tmp_path / "dir"
         root.mkdir()
-        (root / INDEX_NAME).write_text(
-            json.dumps({"version": INDEX_VERSION + 1, "cells": {}})
-        )
+        (root / "store-index.json").write_text("{}")
         (root / "run.jsonl").write_text("")
-        assert cli_main(["store", "ls", str(root)]) == 2
+        argv = ["store", command, str(root)]
+        if command == "migrate":
+            argv.append(str(tmp_path / "out.db"))
+        assert cli_main(argv) == 2
+        out = capsys.readouterr().out
+        assert str(root) in out
+        assert "no longer readable" in out
+        assert not (root / STORE_FILENAME).exists()
