@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 from scipy import optimize as sopt
+from scipy.linalg import lapack
 
 from repro.core.kernels import Kernel, make_kernel
 
@@ -122,6 +123,13 @@ class GaussianProcess:
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
+        if y_err is not None:
+            y_err = np.asarray(y_err, dtype=float).ravel()
+        # Validated once here: the ML-II objective skips scipy's
+        # per-call finiteness checks.
+        for name, values in (("X", X), ("y", y), ("y_err", y_err)):
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"{name} contains inf or NaN")
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y must have matching first dimension")
         if X.shape[0] == 0:
@@ -131,7 +139,6 @@ class GaussianProcess:
                 f"X has dim {X.shape[1]}, kernel expects {self.kernel.dim}"
             )
         if y_err is not None:
-            y_err = np.asarray(y_err, dtype=float).ravel()
             if y_err.shape[0] != y.shape[0]:
                 raise ValueError("y_err must match y in length")
             if np.any(y_err < 0):
@@ -224,19 +231,36 @@ class GaussianProcess:
         return bounds
 
     def _neg_lml_and_grad(
-        self, theta: np.ndarray, X: np.ndarray, z: np.ndarray
+        self,
+        theta: np.ndarray,
+        X: np.ndarray,
+        z: np.ndarray,
+        eye: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
+        """Negative LML and its gradient at ``theta`` (ML-II objective).
+
+        One kernel pass per call: ``K`` and the scaled distances behind
+        it feed the gradient too.  The Cholesky factor and both solves
+        go straight to LAPACK ``dpotrf``/``dpotrs``, the routines
+        ``scipy.linalg.cholesky``/``cho_solve`` call, without their
+        per-call input validation; ``fit`` checks its inputs once.
+        ``eye`` is ``np.eye(len(X))``, built once per fit by the caller.
+        """
         self._unpack_theta(theta)
         n = X.shape[0]
-        K = self.kernel(X)
-        Kn = K + (self.noise + JITTER) * np.eye(n)
+        if eye is None:
+            eye = np.eye(n)
+        K, A, sq = self.kernel.gram_terms(X)
+        Kn = K + (self.noise + JITTER) * eye
         if self._y_err is not None:
             Kn = Kn + np.diag(self._y_err)
-        try:
-            L = sla.cholesky(Kn, lower=True)
-        except sla.LinAlgError:
+        if not np.isfinite(Kn).all():
+            raise ValueError("training covariance contains infs or NaNs")
+        L, info = lapack.dpotrf(Kn, lower=1, clean=1)
+        if info > 0:  # not positive definite
             return 1e25, np.zeros_like(theta)
-        alpha = sla.cho_solve((L, True), z)
+        # dpotrs reports only illegal arguments, which f2py already rejects.
+        alpha, _ = lapack.dpotrs(L, z, lower=1)
         lml = (
             -0.5 * float(z @ alpha)
             - float(np.sum(np.log(np.diag(L))))
@@ -245,9 +269,9 @@ class GaussianProcess:
         # dLML/dtheta_j = 0.5 tr((alpha alpha' - K^-1) dK/dtheta_j),
         # with the trace inner products delegated to the kernel's
         # vectorized fast path (no per-dimension dK matrices).
-        Kinv = sla.cho_solve((L, True), np.eye(n))
+        Kinv, _ = lapack.dpotrs(L, eye, lower=1)
         W = np.outer(alpha, alpha) - Kinv
-        grad = 0.5 * self.kernel.grad_dot(X, W)
+        grad = 0.5 * self.kernel.grad_dot_terms(A, sq, K, W)
         if self.fit_noise:
             grad_noise = 0.5 * float(np.trace(W)) * self.noise
             grad = np.concatenate((grad, [grad_noise]))
@@ -268,13 +292,14 @@ class GaussianProcess:
         starts = [self._pack_theta()]
         for _ in range(max(0, n_restarts)):
             starts.append(lo + rng.random(len(bounds)) * (hi - lo))
+        eye = np.eye(X.shape[0])
         best_theta, best_val = None, math.inf
         for start in starts:
             start = np.clip(start, lo, hi)
             result = sopt.minimize(
                 self._neg_lml_and_grad,
                 start,
-                args=(X, z),
+                args=(X, z, eye),
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,

@@ -21,8 +21,18 @@ def _pairwise_scaled_sq_dists(
     X1: np.ndarray, X2: np.ndarray, lengthscales: np.ndarray
 ) -> np.ndarray:
     """Squared distances after per-dimension scaling by lengthscales."""
-    A = X1 / lengthscales
-    B = X2 / lengthscales
+    return _scaled_sq_dists(X1 / lengthscales, X2 / lengthscales)
+
+
+def _scaled_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of pre-scaled ``A`` and ``B``.
+
+    For a training matrix ``B`` stays its own buffer, not ``A`` itself:
+    numpy routes a product of one buffer with its own transpose to BLAS
+    ``syrk``, which may round differently from the ``gemm`` that cross
+    covariances use, so sharing would make ``K`` depend on how the
+    product happens to be written.
+    """
     sq = (
         np.sum(A**2, axis=1)[:, None]
         + np.sum(B**2, axis=1)[None, :]
@@ -107,6 +117,22 @@ class Kernel(abc.ABC):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(X.shape[0], self.variance)
 
+    def gram_terms(
+        self, X: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Training covariance ``K(X, X)`` with the terms its gradient reuses.
+
+        Returns ``(K, A, sq)``: ``A = X / lengthscales`` and ``sq`` the
+        scaled squared distances.  ``K`` equals ``self(X)`` bit for bit.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.dim:
+            raise ValueError("input dimensionality mismatch")
+        lengthscales = self.lengthscales
+        A = X / lengthscales
+        sq = _scaled_sq_dists(A, X / lengthscales)
+        return self.variance * self._shape(sq), A, sq
+
     def value_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Training covariance ``K(X, X)`` and ``dK/dtheta_j`` matrices.
 
@@ -114,12 +140,9 @@ class Kernel(abc.ABC):
         n)`` array, built by a single broadcast over dimensions rather
         than a per-dimension Python loop.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = X / self.lengthscales
-        sq = _pairwise_scaled_sq_dists(X, X, self.lengthscales)
-        K = self.variance * self._shape(sq)
+        K, A, sq = self.gram_terms(X)
         radial = self.variance * self._radial_factor(sq)
-        grads = np.empty((self.n_hyperparameters, X.shape[0], X.shape[0]))
+        grads = np.empty((self.n_hyperparameters, A.shape[0], A.shape[0]))
         grads[0] = K  # d/d log variance = K
         if self.ard:
             diffs = A[:, None, :] - A[None, :, :]  # (n, n, dim)
@@ -129,7 +152,14 @@ class Kernel(abc.ABC):
         return K, grads
 
     def grad_dot(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """``sum_ij W_ij * dK_ij/dtheta_j`` for every hyperparameter.
+        """``sum_ij W_ij * dK_ij/dtheta_j`` for every hyperparameter."""
+        K, A, sq = self.gram_terms(X)
+        return self.grad_dot_terms(A, sq, K, W)
+
+    def grad_dot_terms(
+        self, A: np.ndarray, sq: np.ndarray, K: np.ndarray, W: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`grad_dot` from the terms :meth:`gram_terms` returned.
 
         The ML-II gradient only ever needs these inner products, so this
         skips materializing the per-dimension ``dK`` matrices entirely:
@@ -141,10 +171,6 @@ class Kernel(abc.ABC):
         with ``r``/``c`` the row/column sums of ``M`` — two matmuls and
         an einsum, O(n² d) BLAS flops and O(n² + n d) memory.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        A = X / self.lengthscales
-        sq = _pairwise_scaled_sq_dists(X, X, self.lengthscales)
-        K = self.variance * self._shape(sq)
         out = np.empty(self.n_hyperparameters)
         out[0] = float(np.sum(W * K))
         M = W * (self.variance * self._radial_factor(sq))

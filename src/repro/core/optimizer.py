@@ -589,14 +589,15 @@ class BayesianOptimizer(Optimizer):
         # Avoid re-sampling an already-measured grid point (or one
         # already in flight) exactly: perturb if the proposal
         # duplicates history or the pending set.
-        seen_points = self.X + self._pending_X
-        if any(np.allclose(x, seen) for seen in seen_points):
+        seen = np.vstack(self.X + self._pending_X)
+        seen_tol = 1e-8 + 1e-5 * np.abs(seen)
+        if _matches_any_row(x, seen, seen_tol):
             for _ in range(16):
                 jittered = np.clip(
                     x + self._rng.normal(0.0, 0.1, size=self.space.dim), 0.0, 1.0
                 )
                 jittered = self.space.round_trip(jittered)
-                if not any(np.allclose(jittered, seen) for seen in seen_points):
+                if not _matches_any_row(jittered, seen, seen_tol):
                     return jittered
             return self.space.round_trip(self._rng.random(self.space.dim))
         return x
@@ -719,3 +720,13 @@ def _json_default(obj: object) -> object:
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
+def _matches_any_row(x: np.ndarray, seen: np.ndarray, seen_tol: np.ndarray) -> bool:
+    """``any(np.allclose(x, row) for row in seen)`` in one comparison.
+
+    ``seen_tol`` is ``1e-8 + 1e-5 * np.abs(seen)``: ``np.allclose``'s
+    default ``atol + rtol * |row|``, computed once per proposal.  All
+    coordinates are finite, so its inf/NaN special cases never apply.
+    """
+    return bool((np.abs(x - seen) <= seen_tol).all(axis=1).any())

@@ -83,6 +83,16 @@ def _clip_unit_batch(u: np.ndarray) -> np.ndarray:
     return np.clip(u, 0.0, 1.0)
 
 
+def _cell_centres(u: np.ndarray, n: np.ndarray | int) -> np.ndarray:
+    """Snap clipped coords to the centre of their cell of ``n`` equal cells.
+
+    ``n`` may be a row vector, one cell count per column of ``u``.
+    """
+    u = _clip_unit_batch(u)
+    idx = np.minimum(n - 1, np.floor(u * n))
+    return (idx + 0.5) / n
+
+
 def _exp_log_scale(u: np.ndarray, low: float, high: float) -> np.ndarray:
     """``from_unit``'s log-scale ``math.exp`` over clipped coords.
 
@@ -212,14 +222,13 @@ class IntParameter(Parameter):
         return self.low + idx.astype(np.int64)
 
     def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
-        u = _clip_unit_batch(u)
         if self.log:
+            u = _clip_unit_batch(u)
             log_lo, log_hi = math.log(self.low), math.log(self.high)
             raw = np.exp(log_lo + u * (log_hi - log_lo))
             v = np.clip(np.round(raw), self.low, self.high)
             return np.clip((np.log(v) - log_lo) / (log_hi - log_lo), 0.0, 1.0)
-        idx = np.minimum(self.n_values - 1, np.floor(u * self.n_values))
-        return (idx + 0.5) / self.n_values
+        return _cell_centres(u, self.n_values)
 
     def sample(self, rng: np.random.Generator) -> int:
         if self.log:
@@ -281,10 +290,7 @@ class CategoricalParameter(Parameter):
         return choices[idx]
 
     def round_trip_unit(self, u: np.ndarray) -> np.ndarray:
-        u = _clip_unit_batch(u)
-        n = len(self.choices)
-        idx = np.minimum(n - 1, np.floor(u * n))
-        return (idx + 0.5) / n
+        return _cell_centres(u, len(self.choices))
 
     def sample(self, rng: np.random.Generator) -> object:
         return self.choices[int(rng.integers(len(self.choices)))]
@@ -339,6 +345,20 @@ class ParameterSpace:
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")
         self._by_name = {p.name: p for p in self.parameters}
+        # round_trip_batch snaps every linear integer column in one block
+        # (exact type: a subclass may snap differently).
+        linear_ints = [
+            d
+            for d, p in enumerate(self.parameters)
+            if type(p) is IntParameter and not p.log
+        ]
+        self._linear_int_cols = np.array(linear_ints, dtype=np.intp)
+        self._linear_int_nv = np.array(
+            [[self.parameters[d].n_values for d in linear_ints]], dtype=float
+        )
+        self._other_cols = [
+            (d, p) for d, p in enumerate(self.parameters) if d not in linear_ints
+        ]
 
     @property
     def dim(self) -> int:
@@ -396,13 +416,19 @@ class ParameterSpace:
     def round_trip_batch(self, X: np.ndarray) -> np.ndarray:
         """Snap a whole ``(n, dim)`` batch of unit points at once.
 
-        Column-wise vectorized equivalent of calling :meth:`round_trip`
-        per row — the acquisition optimizer snaps hundreds of candidate
-        points per step, so this must not loop over rows in Python.
+        Vectorized equivalent of calling :meth:`round_trip` per row — the
+        acquisition optimizer snaps hundreds of candidate points per
+        step, so this must not loop over rows in Python.  The linear
+        integer columns snap as one block, with the float operations of
+        :meth:`IntParameter.round_trip_unit`; every other column goes
+        through its own ``round_trip_unit``.
         """
         X = self._check_batch(X)
         out = np.empty_like(X)
-        for d, p in enumerate(self.parameters):
+        cols = self._linear_int_cols
+        if cols.size:
+            out[:, cols] = _cell_centres(X[:, cols], self._linear_int_nv)
+        for d, p in self._other_cols:
             out[:, d] = p.round_trip_unit(X[:, d])
         return out
 

@@ -187,23 +187,22 @@ class SqliteStudyStore(StudyStore):
                 f"build reads version {SCHEMA_VERSION}; refusing to touch it"
             )
         for version in range(current + 1, SCHEMA_VERSION + 1):
-            try:
-                with conn:
-                    for statement in MIGRATIONS[version]:
-                        conn.execute(statement)
-                    conn.execute("DELETE FROM schema_version")
-                    conn.execute(
-                        "INSERT INTO schema_version (version) VALUES (?)",
-                        (version,),
-                    )
-            except sqlite3.OperationalError:
-                # A fleet of workers can race on a fresh database: the
-                # loser sees "already exists" (or busy) for a step the
-                # winner just applied.  Trust the version table, not
-                # the exception: re-raise only if the migration truly
-                # has not landed yet.
-                if self.schema_version() < version:
-                    raise
+            with conn:
+                # A fleet of workers can race on a fresh database.  The
+                # sqlite3 module autocommits each CREATE on its own, so
+                # a loser could see a half-applied step; BEGIN IMMEDIATE
+                # takes the write lock first, making each step atomic,
+                # and the version is re-read under that lock.
+                conn.execute("BEGIN IMMEDIATE")
+                if self.schema_version() >= version:
+                    continue
+                for statement in MIGRATIONS[version]:
+                    conn.execute(statement)
+                conn.execute("DELETE FROM schema_version")
+                conn.execute(
+                    "INSERT INTO schema_version (version) VALUES (?)",
+                    (version,),
+                )
 
     def schema_version(self) -> int:
         row = self._conn.execute(

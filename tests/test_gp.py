@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
-from repro.core.gp import GaussianProcess
+from repro.core.gp import JITTER, GaussianProcess
+from repro.core.mcmc import sample_gp_hyperparameters
 
 
 def test_prior_prediction_without_fit():
@@ -110,6 +115,19 @@ def test_fit_validates_inputs(rng):
         gp.fit(rng.random((4, 3)), rng.random(4))
 
 
+@pytest.mark.parametrize(
+    "argument, bad_value", [("X", np.inf), ("y", np.nan), ("y_err", np.nan)]
+)
+def test_fit_rejects_non_finite_inputs(rng, argument, bad_value):
+    """Each non-finite argument is named, before any fitting starts."""
+    args = {"X": rng.random((8, 2)), "y": rng.random(8), "y_err": np.zeros(8)}
+    args[argument].flat[3] = bad_value
+    gp = GaussianProcess("matern52", dim=2)
+    with pytest.raises(ValueError, match=f"^{argument} contains inf or NaN"):
+        gp.fit(args["X"], args["y"], rng=rng, y_err=args["y_err"])
+    assert not gp.is_fitted
+
+
 def test_sample_posterior_matches_moments(rng):
     X = rng.random((8, 1))
     y = np.sin(4 * X[:, 0])
@@ -152,3 +170,152 @@ def test_n_observations_tracking(rng):
     gp.fit(rng.random((7, 1)), rng.random(7), optimize_hyperparams=False)
     assert gp.n_observations == 7
     assert gp.is_fitted
+
+
+# ----------------------------------------------------------------------
+# Bit identity of the ML-II objective against its reference form
+# ----------------------------------------------------------------------
+def _reference_neg_lml_and_grad(gp, theta, X, z):
+    """The ML-II objective through scipy's validating Cholesky wrappers
+    and two separate kernel passes (``kernel(X)``, then ``grad_dot``).
+
+    The fast path in ``GaussianProcess._neg_lml_and_grad`` must return
+    exactly these floats.
+    """
+    gp._unpack_theta(theta)
+    n = X.shape[0]
+    K = gp.kernel(X)
+    Kn = K + (gp.noise + JITTER) * np.eye(n)
+    if gp._y_err is not None:
+        Kn = Kn + np.diag(gp._y_err)
+    try:
+        L = sla.cholesky(Kn, lower=True)
+    except sla.LinAlgError:
+        return 1e25, np.zeros_like(theta)
+    alpha = sla.cho_solve((L, True), z)
+    lml = (
+        -0.5 * float(z @ alpha)
+        - float(np.sum(np.log(np.diag(L))))
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    Kinv = sla.cho_solve((L, True), np.eye(n))
+    W = np.outer(alpha, alpha) - Kinv
+    grad = 0.5 * gp.kernel.grad_dot(X, W)
+    if gp.fit_noise:
+        grad_noise = 0.5 * float(np.trace(W)) * gp.noise
+        grad = np.concatenate((grad, [grad_noise]))
+    return -lml, -grad
+
+
+def _reference_gp(gp_args, gp_kwargs):
+    """A GP whose ML-II fit runs the reference objective (and counts)."""
+    gp = GaussianProcess(*gp_args, **gp_kwargs)
+    gp.reference_calls = 0
+
+    def objective(theta, X, z, eye=None):  # eye: the fast path's extra arg
+        gp.reference_calls += 1
+        return _reference_neg_lml_and_grad(gp, theta, X, z)
+
+    gp._neg_lml_and_grad = objective
+    return gp
+
+
+def _corpus_case(seed, dim=3, n=14):
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, dim))
+    y = np.sin(4.0 * X[:, 0]) + X[:, 1:].sum(axis=1) + 0.05 * rng.normal(size=n)
+    return X, y, np.abs(rng.normal(0.0, 0.2, size=n))
+
+
+GP_CORPUS = list(
+    itertools.product(
+        ["rbf", "matern32", "matern52"], [True, False], [True, False], [False, True]
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "kernel, ard, fit_noise, with_y_err",
+    GP_CORPUS,
+    ids=[
+        f"{k}-{'ard' if a else 'iso'}-{'noise' if f else 'fixed'}-"
+        f"{'yerr' if e else 'plain'}"
+        for k, a, f, e in GP_CORPUS
+    ],
+)
+def test_ml2_fast_path_is_bit_identical(kernel, ard, fit_noise, with_y_err):
+    """Per call and after a full multi-start fit, the objective equals
+    the reference exactly (``==``, not ``allclose``)."""
+    seed = GP_CORPUS.index((kernel, ard, fit_noise, with_y_err))
+    X, y, y_err = _corpus_case(seed)
+    y_err = y_err if with_y_err else None
+    gp_args = (kernel, X.shape[1])
+    gp_kwargs = {"ard": ard, "fit_noise": fit_noise, "noise": 1e-3}
+
+    fast = GaussianProcess(*gp_args, **gp_kwargs)
+    fast.fit(X, y, optimize_hyperparams=False, y_err=y_err)
+    z = fast._posterior.y
+    bounds = np.array(fast._theta_bounds())
+    rng = np.random.default_rng(100 + seed)
+    thetas = [fast._pack_theta()] + [
+        bounds[:, 0] + rng.random(len(bounds)) * (bounds[:, 1] - bounds[:, 0])
+        for _ in range(6)
+    ]
+    eye = np.eye(X.shape[0])
+    for theta in thetas:
+        value, grad = fast._neg_lml_and_grad(theta, X, z, eye)
+        ref_value, ref_grad = _reference_neg_lml_and_grad(fast, theta, X, z)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(fast._neg_lml_and_grad(theta, X, z)[1], ref_grad)
+
+    fast = GaussianProcess(*gp_args, **gp_kwargs)
+    fast.fit(X, y, n_restarts=2, rng=np.random.default_rng(seed), y_err=y_err)
+    reference = _reference_gp(gp_args, gp_kwargs)
+    reference.fit(X, y, n_restarts=2, rng=np.random.default_rng(seed), y_err=y_err)
+    assert reference.reference_calls > 0
+    assert np.array_equal(fast.kernel.theta, reference.kernel.theta)
+    assert fast._log_noise == reference._log_noise
+    assert np.array_equal(fast._posterior.alpha, reference._posterior.alpha)
+
+
+def test_ml2_fast_path_non_pd_branch():
+    """A covariance Cholesky cannot factor returns the 1e25 sentinel
+    with a zero gradient, as the reference does."""
+    X, y, _ = _corpus_case(0, dim=2, n=30)
+    gp = GaussianProcess("rbf", 2, fit_noise=False, noise=1e-8)
+    gp.fit(X, y, optimize_hyperparams=False)
+    z = gp._posterior.y
+    theta = np.array([40.0, math.log(10.0), math.log(10.0)])
+    value, grad = gp._neg_lml_and_grad(theta, X, z)
+    assert (value, grad.tolist()) == (1e25, [0.0, 0.0, 0.0])
+    assert _reference_neg_lml_and_grad(gp, theta, X, z)[0] == 1e25
+
+
+def test_ml2_fast_path_in_slice_sampling():
+    """Spearmint's MCMC integration draws the same samples either way."""
+    X, y, _ = _corpus_case(1, dim=2, n=12)
+    samples = []
+    for gp in (
+        GaussianProcess("matern52", 2),
+        _reference_gp(("matern52", 2), {}),
+    ):
+        gp.fit(X, y, optimize_hyperparams=False)
+        samples.append(
+            sample_gp_hyperparameters(
+                gp, X, gp._posterior.y, 6, burn_in=3,
+                rng=np.random.default_rng(5),
+            )
+        )
+    assert gp.reference_calls > 0
+    assert np.array_equal(samples[0], samples[1])
+
+
+def test_ml2_objective_rejects_non_finite_covariance():
+    X, y, _ = _corpus_case(2, dim=2, n=6)
+    gp = GaussianProcess("rbf", 2)
+    gp.fit(X, y, optimize_hyperparams=False)
+    X_bad = X.copy()
+    X_bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gp._neg_lml_and_grad(gp._pack_theta(), X_bad, gp._posterior.y)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.optimizer import BayesianOptimizer
+from repro.core.optimizer import BayesianOptimizer, _matches_any_row
 from repro.core.parameters import (
     FloatParameter,
     IntParameter,
@@ -96,6 +96,44 @@ class TestAskTell:
         # when possible (4 values, 4 seen: anything goes, just no crash).
         c = opt.ask()
         assert 1 <= c["n"] <= 4
+
+
+class TestDuplicateCheck:
+    """The stacked duplicate check == ``any(np.allclose(x, row))``."""
+
+    @staticmethod
+    def _check(x, seen):
+        expected = any(np.allclose(x, row) for row in seen)
+        got = _matches_any_row(x, seen, 1e-8 + 1e-5 * np.abs(seen))
+        assert got == expected
+        return got
+
+    def test_exact_duplicates(self, rng):
+        seen = rng.random((20, 5))
+        for row in seen:
+            assert self._check(row.copy(), seen)
+
+    def test_near_duplicates_straddling_the_tolerance(self, rng):
+        seen = rng.random((8, 5))
+        for row in seen:
+            tol = 1e-8 + 1e-5 * np.abs(row)
+            for scale, close in ((0.5, True), (0.999, True), (1.001, False), (2.0, False)):
+                for d in range(row.size):
+                    x = row.copy()
+                    x[d] += scale * tol[d]
+                    assert self._check(x, seen) is close
+                    x = row.copy()
+                    x[d] -= scale * tol[d]
+                    assert self._check(x, seen) is close
+
+    def test_random_points(self, rng):
+        seen = rng.integers(0, 3, size=(30, 3)) / 2.0
+        hits = sum(
+            self._check(rng.integers(0, 3, size=3) / 2.0, seen) for _ in range(200)
+        )
+        assert 0 < hits < 200
+        for _ in range(50):
+            self._check(rng.random(3), seen)
 
 
 class TestConvergence:

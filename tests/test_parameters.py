@@ -373,3 +373,58 @@ class TestBatchDecode:
             space.round_trip_batch(np.vstack([np.full(2, 0.5), x]))
         with pytest.raises(ValueError, match="unit coordinate is NaN"):
             space.decode_batch(np.vstack([np.full(2, 0.5), x]))
+
+
+class TestBlockSnap:
+    """``round_trip_batch`` snaps the linear integer columns as one block;
+    every column must still equal its own ``round_trip_unit`` exactly."""
+
+    PARAMETERS = (
+        IntParameter("two", 0, 1),
+        IntParameter("i", 1, 13),
+        IntParameter("wide", 4, 400),
+        IntParameter("li", 1, 32, log=True),
+        FloatParameter("f", -3.0, 7.0),
+        IntParameter("k", 1, 7),
+        CategoricalParameter("c", ["a", "b", "c"]),
+    )
+
+    def _assert_matches_columns(self, X):
+        space = ParameterSpace(self.PARAMETERS)
+        snapped = space.round_trip_batch(X)
+        for d, p in enumerate(self.PARAMETERS):
+            expected = p.round_trip_unit(X[:, d])
+            assert np.array_equal(snapped[:, d], expected), p.name
+            if isinstance(p, IntParameter) and not p.log:
+                # The scalar round trip is an independent reference.
+                scalar = [p.to_unit(p.from_unit(float(u))) for u in X[:, d]]
+                assert snapped[:, d].tolist() == scalar, p.name
+
+    def test_matches_per_column_at_bin_edges(self):
+        # 0, 1, every linear integer's bin edges k/n and their
+        # nextafter neighbours, cycled to one length.
+        coords = [_edge_coords(p) for p in self.PARAMETERS]
+        n = max(len(c) for c in coords)
+        self._assert_matches_columns(
+            np.column_stack([np.resize(c, n) for c in coords])
+        )
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.floats(min_value=-0.25, max_value=1.25, allow_nan=False),
+                min_size=7,
+                max_size=7,
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_per_column(self, rows):
+        self._assert_matches_columns(np.asarray(rows))
+
+    def test_space_without_linear_integers(self):
+        space = ParameterSpace([FloatParameter("f", 0.0, 1.0)])
+        X = np.array([[0.0], [0.3], [1.0]])
+        assert np.array_equal(space.round_trip_batch(X), X)

@@ -11,6 +11,7 @@ directories left by the retired JSONL backend.
 from __future__ import annotations
 
 import sqlite3
+import threading
 
 import pytest
 
@@ -222,6 +223,34 @@ class TestSqliteBackend:
             assert store.schema_version() == SCHEMA_VERSION
             store.save_checkpoint("s", "c", "r", _checkpoint())
             assert store.load_checkpoint("s", "c", "r").completed == 3
+
+    def test_concurrent_opens_of_a_fresh_database(self, tmp_path):
+        """Regression: openers racing on a new file saw a half-applied
+        migration ("table studies already exists") and raised."""
+        errors = []
+
+        def open_store_once(path, barrier):
+            barrier.wait(timeout=10)
+            try:
+                with SqliteStudyStore(path) as store:
+                    assert store.schema_version() == SCHEMA_VERSION
+            except Exception as exc:  # collected for the assertion below
+                errors.append(exc)
+
+        for trial in range(10):
+            barrier = threading.Barrier(6)
+            threads = [
+                threading.Thread(
+                    target=open_store_once, args=(tmp_path / f"{trial}.db", barrier)
+                )
+                for _ in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_malformed_row_warning_names_the_rowid(self, tmp_path):
         path = tmp_path / "s.db"
