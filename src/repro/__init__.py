@@ -25,6 +25,17 @@ Subpackages
     figure of the evaluation (see DESIGN.md and EXPERIMENTS.md).
 """
 
+import os
+
+# One OpenBLAS thread per process.  numpy and scipy each bundle their own
+# OpenBLAS, and each would start a pool as wide as the host.  At this
+# program's matrix sizes the extra threads buy nothing: waiting for work,
+# they spin and contend for the cores as a GP refit alternates numpy BLAS,
+# scipy LAPACK and L-BFGS-B steps.  OpenBLAS reads the variable when each
+# library loads, so this must run before numpy is imported.  A value the
+# user sets is left untouched (docs/PERFORMANCE.md, "BLAS threads").
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]

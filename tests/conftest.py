@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+# repro before numpy: importing repro sets OPENBLAS_NUM_THREADS=1, which
+# OpenBLAS reads when numpy loads it, so the suite runs under the same
+# one-thread policy as the CLI.
+import repro  # noqa: F401
 import numpy as np
 import pytest
 
