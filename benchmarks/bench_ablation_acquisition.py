@@ -6,8 +6,6 @@ implemented in Spearmint" (§III-C).  This bench compares the three
 standard acquisitions on the medium / time-imbalance tuning problem.
 """
 
-import numpy as np
-
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
@@ -16,6 +14,9 @@ from repro.storm.noise import GaussianNoise
 from repro.storm.objective import StormObjective
 from repro.storm.spaces import ParallelismCodec
 from repro.topology_gen.suite import TopologyCondition, make_topology
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 STEPS = 25
 SEEDS = (0, 1)

@@ -7,8 +7,6 @@ checks the optimizer reaches the same regime — evidence that the fast
 objective does not distort the optimization landscape.
 """
 
-import numpy as np
-
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.experiments.report import render_table
@@ -18,6 +16,9 @@ from repro.storm.noise import GaussianNoise
 from repro.storm.objective import StormObjective
 from repro.storm.spaces import ParallelismCodec
 from repro.topology_gen.suite import TopologyCondition, make_topology
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 STEPS = 15
 

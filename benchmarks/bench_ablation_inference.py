@@ -8,8 +8,6 @@ quantity — MCMC is a large part of why Spearmint needed 35–253 s per
 step).
 """
 
-import numpy as np
-
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
@@ -18,6 +16,9 @@ from repro.storm.noise import GaussianNoise
 from repro.storm.objective import StormObjective
 from repro.storm.spaces import ParallelismCodec
 from repro.topology_gen.suite import TopologyCondition, make_topology
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 STEPS = 20
 SEEDS = (0, 1)

@@ -4,8 +4,6 @@ Spearmint's default is the Matérn-5/2 kernel; this bench checks how
 much the reproduction's results depend on that choice.
 """
 
-import numpy as np
-
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
@@ -14,6 +12,9 @@ from repro.storm.noise import GaussianNoise
 from repro.storm.objective import StormObjective
 from repro.storm.spaces import ParallelismCodec
 from repro.topology_gen.suite import TopologyCondition, make_topology
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 STEPS = 25
 SEEDS = (0, 1)

@@ -7,8 +7,6 @@ whether averaging repeated samples improves the found configuration at
 a fixed total evaluation budget.
 """
 
-import numpy as np
-
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
@@ -17,6 +15,9 @@ from repro.storm.noise import InterferenceNoise
 from repro.storm.objective import StormObjective
 from repro.storm.spaces import ParallelismCodec
 from repro.topology_gen.suite import TopologyCondition, make_topology
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 TOTAL_EVALUATIONS = 30
 SEEDS = (0, 1, 2)

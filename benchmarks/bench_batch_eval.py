@@ -30,12 +30,13 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from repro.storm.analytic import AnalyticPerformanceModel
 from repro.storm.cluster import paper_cluster
 from repro.storm.config import TopologyConfig
 from repro.topology_gen.suite import make_topology
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 #: Full-bench knobs (the acceptance configuration).
 N_CONFIGS = 256

@@ -4,10 +4,11 @@ Paper shape: the linear ascents converge in far fewer steps than the
 Bayesian optimizer; informed variants converge faster than uninformed.
 """
 
-import numpy as np
-
 from repro.experiments.figures import figure5_convergence
 from repro.experiments.report import render_figure
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 
 def test_fig5_convergence(benchmark, synthetic_study):

@@ -5,10 +5,11 @@ second; the Bayesian optimizer's per-step cost grows (sublinearly) with
 the number of parameters, i.e. with topology size.
 """
 
-import numpy as np
-
 from repro.experiments.figures import figure7_step_time
 from repro.experiments.report import render_figure
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 
 def test_fig7_step_time(benchmark, synthetic_study):

@@ -40,19 +40,19 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.checkpoint import canonical_history
 from repro.experiments.presets import Budget
 from repro.service.campaign import (
     CAMPAIGN_STATE_NAME,
     CampaignRunner,
     CampaignSpec,
-    store_cell_label,
 )
 from repro.store import StudyStore, open_store
 from repro.store.base import KILL_ENV, TERMINAL_LEASE_STATUSES
 from repro.topology_gen.suite import CONDITIONS
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -202,8 +202,8 @@ def run_fleet_fuzz(
         reference = CampaignRunner(serial_spec).run()
 
         runner = CampaignRunner(spec)
-        _specs, labels, _fn = runner.cell_specs()
-        cells = [store_cell_label(spec.study, label) for label in labels]
+        specs = runner.cell_specs()
+        cells = [s.cell for s in specs]
         with open_store(str(fleet_store)) as store:
             store.save_state(
                 spec.study, "", CAMPAIGN_STATE_NAME,
@@ -294,12 +294,12 @@ def run_fleet_fuzz(
                 f"expired leases never reclaimed: {unreclaimed}"
             )
             identical = True
-            for label, cell in zip(labels, cells):
-                fleet_passes = watcher.load_results(spec.study, cell)
-                ref_passes = reference[label]
+            for cell_spec in specs:
+                fleet_passes = watcher.load_results(spec.study, cell_spec.cell)
+                ref_passes = reference[cell_spec.label]
                 assert fleet_passes is not None and len(fleet_passes) == len(
                     ref_passes
-                ), label
+                ), cell_spec.label
                 for a, b in zip(fleet_passes, ref_passes):
                     if canonical_history(a.observations) != canonical_history(
                         b.observations

@@ -33,8 +33,6 @@ import sys
 import time
 from typing import Mapping
 
-import numpy as np
-
 from repro.core.executor import SerialExecutor, ThreadPoolExecutor
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
@@ -47,6 +45,9 @@ from repro.storm.noise import GaussianNoise
 from repro.storm.objective import StormObjective
 from repro.storm.spaces import ParallelismCodec
 from repro.topology_gen.suite import make_topology
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
 
 #: Full-bench knobs (the acceptance configuration).
 STEPS = 60

@@ -30,10 +30,7 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
-from scipy import linalg as sla
-from scipy import optimize as sopt
 
 from repro.core.gp import JITTER, GaussianProcess
 from repro.core.loop import TuningLoop
@@ -43,6 +40,11 @@ from repro.storm.cluster import paper_cluster
 from repro.storm.objective import StormObjective
 from repro.storm.spaces import ParallelismCodec
 from repro.topology_gen.suite import make_topology
+
+# After repro: importing it first pins the BLAS pools to one thread.
+import numpy as np
+from scipy import linalg as sla
+from scipy import optimize as sopt
 
 N_OBSERVATIONS = 150
 MEASURE_ROUNDS = 5

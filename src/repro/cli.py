@@ -65,13 +65,9 @@ from repro import obs
 from repro.experiments import figures
 from repro.experiments.presets import default_budget, full_budget
 from repro.experiments.report import render_figure, render_table
-from repro.experiments.runner import (
-    StudyError,
-    SundogStudy,
-    SyntheticStudy,
-    evaluation_failure_rows,
-)
+from repro.experiments.runner import SundogStudy, SyntheticStudy
 from repro.obs.sinks import NORMAL, QUIET, VERBOSE
+from repro.service.campaign import StudyError, evaluation_failure_rows
 
 
 def _synthetic_study(args: argparse.Namespace) -> SyntheticStudy:

@@ -474,30 +474,3 @@ class TuningLoop:
         ctx.metrics.merge_snapshot(result.metadata["obs_metrics"])  # type: ignore[arg-type]
         return result
 
-
-def run_passes(
-    make_optimizer: Callable[[int], Optimizer],
-    objective: Objective,
-    *,
-    passes: int = 2,
-    max_steps: int = 60,
-    repeat_best: int = 30,
-    strategy_name: str | None = None,
-    base_seed: int = 0,
-) -> list[TuningResult]:
-    """Run several independent optimization passes (the paper runs two
-    and graphs the better one; Figure 5 reports spread over both)."""
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
-    results = []
-    for i in range(passes):
-        optimizer = make_optimizer(base_seed + i)
-        loop = TuningLoop(
-            objective,
-            optimizer,
-            max_steps=max_steps,
-            repeat_best=repeat_best,
-            strategy_name=strategy_name,
-        )
-        results.append(loop.run())
-    return results

@@ -19,20 +19,6 @@ from repro.topology_gen.suite import TopologyCondition
 FORMAT_VERSION = 1
 
 
-def _budget_to_dict(budget: Budget) -> dict[str, object]:
-    return {
-        "steps": budget.steps,
-        "steps_extended": budget.steps_extended,
-        "baseline_steps": budget.baseline_steps,
-        "passes": budget.passes,
-        "repeat_best": budget.repeat_best,
-    }
-
-
-def _budget_from_dict(data: Mapping[str, object]) -> Budget:
-    return Budget(**{k: int(v) for k, v in data.items()})  # type: ignore[arg-type]
-
-
 def synthetic_study_to_dict(study: SyntheticStudy) -> dict[str, object]:
     cells = []
     for (condition, size, strategy), results in study.results.items():
@@ -48,7 +34,7 @@ def synthetic_study_to_dict(study: SyntheticStudy) -> dict[str, object]:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "synthetic",
-        "budget": _budget_to_dict(study.budget),
+        "budget": study.budget.as_dict(),
         "seed": study.seed,
         "fidelity": study.fidelity,
         "cells": cells,
@@ -80,7 +66,7 @@ def synthetic_study_from_dict(data: Mapping[str, object]) -> SyntheticStudy:
             TuningResult.from_dict(r) for r in cell["passes"]
         ]
     study = SyntheticStudy(
-        _budget_from_dict(data["budget"]),  # type: ignore[arg-type]
+        Budget.from_dict(data["budget"]),  # type: ignore[arg-type]
         conditions=conditions,
         sizes=sizes,
         strategies=strategies,
@@ -104,7 +90,7 @@ def sundog_study_to_dict(study: SundogStudy) -> dict[str, object]:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "sundog",
-        "budget": _budget_to_dict(study.budget),
+        "budget": study.budget.as_dict(),
         "seed": study.seed,
         "fidelity": study.fidelity,
         "arms": arms,
@@ -121,7 +107,7 @@ def sundog_study_from_dict(data: Mapping[str, object]) -> SundogStudy:
         arm_specs.append(key)
         results[key] = [TuningResult.from_dict(r) for r in arm["passes"]]
     study = SundogStudy(
-        _budget_from_dict(data["budget"]),  # type: ignore[arg-type]
+        Budget.from_dict(data["budget"]),  # type: ignore[arg-type]
         arms=arm_specs,
         seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
         fidelity=str(data.get("fidelity", "analytic")),

@@ -11,7 +11,8 @@ set ``REPRO_FULL=1`` (or pass :func:`full_budget`) for paper-scale runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Mapping
 
 from repro.storm.cluster import ClusterSpec, paper_cluster
 from repro.storm.config import TopologyConfig
@@ -68,6 +69,14 @@ class Budget:
             raise ValueError("passes must be >= 1")
         if self.repeat_best < 2:
             raise ValueError("repeat_best must be >= 2 (t-tests need n >= 2)")
+
+    def as_dict(self) -> dict[str, int]:
+        """The budget as JSON-ready data, keys in field order."""
+        return {k: int(v) for k, v in asdict(self).items()}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "Budget":
+        return cls(**{k: int(v) for k, v in data.items()})  # type: ignore[arg-type]
 
 
 def full_budget() -> Budget:

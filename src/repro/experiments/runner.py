@@ -1,30 +1,32 @@
 """Studies: the paper's experiment grids as campaign strategy layers.
 
-:class:`SyntheticStudy` runs the Figure 4–7 grid — four workload
-conditions × three topology sizes × five strategies (pla, bo, ipla,
-ibo, bo180) — with the paper's procedure: several independent passes,
-best pass graphed, winner re-measured.  :class:`SundogStudy` runs the
-Figure 8 arms over the Sundog topology.  Both cache their
-:class:`~repro.core.history.TuningResult` lists so every dependent
-figure derives from one set of runs.
+Every cell of Figures 4–8 runs the paper's procedure (§V-A): a fixed
+step budget, several independent passes, the best pass graphed and its
+winner re-measured.  :func:`run_cell` runs that procedure for any cell.
+A cell spec supplies only what differs between the grids — the
+substrate (topology, cluster, base configuration), the optimizer/codec
+pair, the seed identity and the metadata it stamps — and names its
+campaign ``label`` and its store ``cell``.  :class:`SyntheticCellSpec`
+is one (condition, size, strategy) cell of the Figure 4–7 grid;
+:class:`SundogArmSpec` is one Figure 8 arm over the Sundog topology.
 
-This module owns *strategy*: which optimizer/codec pair a cell builds,
-which seeds and step budgets it uses.  Orchestration — worker-budget
-splitting, the process pool, obs events, failure aggregation — lives in
-:mod:`repro.service.campaign`, and persistence — per-pass checkpoints,
-finished-cell result caches, resume — in :mod:`repro.store` (a cell
-spec's ``checkpoint_dir`` is an :func:`repro.store.open_store` spec, so
-it accepts either a SQLite ``*.db`` path or a directory holding one).
-The campaign names (:class:`~repro.service.campaign.StudyError`,
-:func:`~repro.service.campaign.split_worker_budget`, ...) are
-re-exported here for backward compatibility.
+:class:`SyntheticStudy` and :class:`SundogStudy` are thin facades over
+:class:`~repro.service.campaign.CampaignRunner`, which owns
+orchestration: worker-budget splitting, the process pool or worker
+fleet, obs events and failure aggregation.  Both cache their
+:class:`~repro.core.history.TuningResult` lists so every dependent
+figure derives from one set of runs.  Persistence — per-pass
+checkpoints, finished-cell result caches, resume — lives in
+:mod:`repro.store`; a cell's ``checkpoint_dir`` is an
+:func:`repro.store.open_store` spec (a SQLite ``*.db`` path or a
+directory holding one).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, ClassVar, Iterable, Sequence, TypeVar
 
 from repro.core.baselines import Optimizer, ParallelLinearAscent
 from repro.core.executor import make_executor
@@ -42,14 +44,7 @@ from repro.experiments.presets import (
     default_budget,
     default_cluster,
 )
-from repro.service.campaign import (
-    CampaignRunner,
-    CampaignSpec,
-    StudyError,
-    evaluation_failure_rows,
-    run_cells,
-    split_worker_budget,
-)
+from repro.service.campaign import CampaignRunner, CampaignSpec
 from repro.storm.cluster import ClusterSpec
 from repro.storm.config import TopologyConfig
 from repro.storm.noise import GaussianNoise
@@ -62,23 +57,20 @@ from repro.storm.spaces import (
     SundogParameterCodec,
     UniformHintCodec,
 )
+from repro.store import open_store
 from repro.storm.topology import Topology
 from repro.sundog import sundog_default_config, sundog_topology
 from repro.topology_gen.suite import CONDITIONS, TopologyCondition, make_topology
 
 __all__ = [
-    "StudyError",
+    "CellSpec",
     "SundogArmSpec",
     "SundogStudy",
     "SyntheticCellSpec",
     "SyntheticStudy",
     "cell_seed",
-    "evaluation_failure_rows",
     "make_synthetic_optimizer",
-    "run_cells",
-    "run_sundog_arm",
-    "run_synthetic_cell",
-    "split_worker_budget",
+    "run_cell",
 ]
 
 #: Sundog parameter sets of Figure 8 (paper labels).
@@ -92,6 +84,14 @@ SUNDOG_PLA_BEST_HINT = 11
 #: Store study names the two grids persist under.
 SYNTHETIC_STUDY_NAME = "synthetic"
 SUNDOG_STUDY_NAME = "sundog"
+
+#: The evaluation executor of a cell whose loops run concurrently.
+LOOP_EXECUTOR = "thread"
+
+#: What every pass of a cell runs on: topology, cluster, base config.
+Substrate = tuple[Topology, ClusterSpec, TopologyConfig]
+
+_StudyT = TypeVar("_StudyT", bound="_Study")
 
 
 def cell_seed(base_seed: int, *identity: object) -> int:
@@ -181,33 +181,43 @@ def make_synthetic_optimizer(
     raise ValueError(f"unknown synthetic strategy {strategy!r}")
 
 
-@dataclass(frozen=True)
-class SyntheticCellSpec:
-    """One (size, condition, strategy) cell of the synthetic grid.
+@dataclass(frozen=True, kw_only=True)
+class CellSpec:
+    """What every study cell carries besides its grid axes.
 
     ``loop_workers`` > 1 runs the cell's tuning loops over a concurrent
-    evaluation executor (``loop_executor`` kind, ``batch_size``
+    evaluation executor (:data:`LOOP_EXECUTOR`, ``batch_size``
     in-flight proposals — default the worker count); per-evaluation
     seeds keep the observations order-independent.
 
     ``checkpoint_dir`` makes the cell crash-safe: it is an
     :func:`repro.store.open_store` spec (a ``*.db`` file, or a
-    directory holding ``store.db``); each pass checkpoints its tuning loop to the store after
-    every ``tell``, and a finished cell saves its results there so a
-    resumed study skips it entirely (see docs/STORE.md).
+    directory holding ``store.db``); each pass checkpoints its tuning
+    loop to the store after every ``tell``, and a finished cell saves
+    its results there so a resumed study skips it entirely (see
+    docs/STORE.md).
 
     ``resilience`` applies a :class:`~repro.core.resilience.RetryPolicy`
     to the cell's evaluations (retry/timeout/circuit-breaker).
+
+    A grid's spec adds its axes and what :func:`run_cell` asks of it:
+    ``label`` (the campaign label), ``key`` (its study's results key),
+    ``base_seed()`` (pass ``i`` runs on ``base_seed() + i``),
+    ``metadata()`` (the identity keys stamped first on each pass),
+    ``substrate()`` and ``make_optimizer(substrate, seed)`` (one
+    pass's optimizer and codec).
     """
 
-    size: str
-    condition: TopologyCondition
+    #: Store study the cell persists under.
+    study: ClassVar[str]
+    #: Offset from a pass seed to its objective's noise seed.
+    objective_seed_offset: ClassVar[int]
+
     strategy: str
     budget: Budget
     seed: int = 0
     fidelity: str = "analytic"
     loop_workers: int = 1
-    loop_executor: str = "thread"
     batch_size: int | None = None
     checkpoint_dir: str | None = None
     resilience: RetryPolicy | None = None
@@ -217,68 +227,170 @@ class SyntheticCellSpec:
     #: ROBUSTNESS.md).
     lease: tuple[str, int] | None = None
 
+    @property
+    def label(self) -> str:
+        raise NotImplementedError
 
-def _save_cell_results(store, study, cell, results, lease) -> None:
-    """Persist a finished cell, fenced when run under a fleet lease."""
-    if lease is not None:
-        store.save_results_fenced(
-            study, cell, results, owner=lease[0], token=int(lease[1])
+    @property
+    def cell(self) -> str:
+        """The store cell the results persist under."""
+        return self.label
+
+    @property
+    def strategy_name(self) -> str:
+        """The strategy name the cell's results carry."""
+        return self.strategy
+
+    @property
+    def steps(self) -> int:
+        """Each pass's step budget."""
+        if self.strategy == "bo180":
+            return self.budget.steps_extended
+        if self.strategy in ("pla", "ipla"):
+            return self.budget.baseline_steps
+        return self.budget.steps
+
+
+@dataclass(frozen=True, kw_only=True)
+class SyntheticCellSpec(CellSpec):
+    """One (size, condition, strategy) cell of the synthetic grid."""
+
+    study: ClassVar[str] = SYNTHETIC_STUDY_NAME
+    objective_seed_offset: ClassVar[int] = 777
+
+    size: str
+    condition: TopologyCondition
+
+    @property
+    def label(self) -> str:
+        return f"{self.condition.label}/{self.size}/{self.strategy}"
+
+    @property
+    def key(self) -> tuple[TopologyCondition, str, str]:
+        return (self.condition, self.size, self.strategy)
+
+    def base_seed(self) -> int:
+        return cell_seed(
+            self.seed, self.condition.label, self.size, self.strategy
         )
-    else:
-        store.save_results(study, cell, results)
+
+    def metadata(self) -> dict[str, object]:
+        return {"size": self.size, "condition": self.condition.label}
+
+    def substrate(self) -> Substrate:
+        topology = make_topology(self.size, self.condition)
+        return topology, default_cluster(), SYNTHETIC_BASE_CONFIG
+
+    def make_optimizer(
+        self, substrate: Substrate, seed: int
+    ) -> tuple[Optimizer, ConfigCodec]:
+        return make_synthetic_optimizer(
+            self.strategy, *substrate, self.steps, seed, fidelity=self.fidelity
+        )
 
 
-def run_synthetic_cell(spec: SyntheticCellSpec) -> list[TuningResult]:
-    """Run all passes of one cell (module-level for process pools)."""
+@dataclass(frozen=True, kw_only=True)
+class SundogArmSpec(CellSpec):
+    """One Figure 8 arm: a strategy on a parameter set."""
+
+    study: ClassVar[str] = SUNDOG_STUDY_NAME
+    objective_seed_offset: ClassVar[int] = 131
+
+    param_set: str  # 'h', 'h bs bp', 'bs bp cc'
+
+    @property
+    def label(self) -> str:
+        return f"{self.strategy}.{self.param_set}"
+
+    @property
+    def cell(self) -> str:
+        # Sundog arms carry a ``sundog_`` prefix in the store: the
+        # store layout predates the campaign labels.
+        return f"sundog_{self.label}"
+
+    @property
+    def strategy_name(self) -> str:
+        return self.label
+
+    @property
+    def key(self) -> tuple[str, str]:
+        return (self.strategy, self.param_set)
+
+    def base_seed(self) -> int:
+        return cell_seed(self.seed, self.strategy, self.param_set)
+
+    def metadata(self) -> dict[str, object]:
+        return {"param_set": self.param_set, "strategy": self.strategy}
+
+    def substrate(self) -> Substrate:
+        cluster = default_cluster()
+        base_config = sundog_default_config(cluster.total_workers)
+        return sundog_topology(), cluster, base_config
+
+    def make_optimizer(
+        self, substrate: Substrate, seed: int
+    ) -> tuple[Optimizer, ConfigCodec]:
+        topology, cluster, base_config = substrate
+        if self.strategy not in SUNDOG_STRATEGIES:
+            raise ValueError(f"unknown sundog strategy {self.strategy!r}")
+        if self.param_set not in SUNDOG_PARAM_SETS:
+            raise ValueError(f"unknown sundog parameter set {self.param_set!r}")
+        if self.strategy == "pla":
+            if self.param_set != "h":
+                raise ValueError(
+                    "the parallel linear ascent only searches parallelism hints"
+                )
+            ucodec = UniformHintCodec(topology, cluster, base_config)
+            ascent = ucodec.ascent_values(self.steps)
+            return ParallelLinearAscent("uniform_hint", ascent), ucodec
+        codec = _sundog_codec(self.param_set, topology, cluster, base_config)
+        initial = _sundog_default_params(codec, base_config)
+        optimizer = BayesianOptimizer(
+            codec.space, seed=seed, initial_configs=[initial]
+        )
+        return optimizer, codec
+
+
+def run_cell(spec: SyntheticCellSpec | SundogArmSpec) -> list[TuningResult]:
+    """Run all passes of one study cell (module-level for process pools).
+
+    A cell whose results are already in its store is served from there
+    without running.
+    """
     store = None
-    cell_label = f"{spec.condition.label}/{spec.size}/{spec.strategy}"
     if spec.checkpoint_dir:
-        from repro.store import open_store
-
+        # Not closed explicitly; the garbage collector releases it.
+        # Closing the last open connection checkpoints and deletes the
+        # WAL file, and the next cell's checkpoint writes then pay for
+        # growing a fresh one (~30% slower on perfbench's grid-ckpt).
         store = open_store(spec.checkpoint_dir)
-        cached = store.load_results(SYNTHETIC_STUDY_NAME, cell_label)
+        cached = store.load_results(spec.study, spec.cell)
         if cached is not None:
             return cached
-    topology = make_topology(spec.size, spec.condition)
-    cluster = default_cluster()
-    if spec.strategy == "bo180":
-        steps = spec.budget.steps_extended
-    elif spec.strategy in ("pla", "ipla"):
-        steps = spec.budget.baseline_steps
-    else:
-        steps = spec.budget.steps
+    substrate = spec.substrate()
+    topology, cluster, _ = substrate
     results: list[TuningResult] = []
-    base = cell_seed(spec.seed, spec.condition.label, spec.size, spec.strategy)
+    base = spec.base_seed()
     cell_t0 = time.perf_counter()
     for pass_idx in range(spec.budget.passes):
         pass_seed = base + pass_idx
         slot = (
-            store.checkpoint_slot(
-                SYNTHETIC_STUDY_NAME, cell_label, f"pass{pass_idx}"
-            )
+            store.checkpoint_slot(spec.study, spec.cell, f"pass{pass_idx}")
             if store is not None
             else None
         )
-        optimizer, codec = make_synthetic_optimizer(
-            spec.strategy,
-            topology,
-            cluster,
-            SYNTHETIC_BASE_CONFIG,
-            steps,
-            pass_seed,
-            fidelity=spec.fidelity,
-        )
+        optimizer, codec = spec.make_optimizer(substrate, pass_seed)
         objective = StormObjective(
             topology,
             cluster,
             codec,
             fidelity=spec.fidelity,  # type: ignore[arg-type]
             noise=GaussianNoise(MEASUREMENT_NOISE_SIGMA),
-            seed=pass_seed + 777,
+            seed=pass_seed + spec.objective_seed_offset,
         )
         executor = (
             make_executor(
-                spec.loop_executor, objective, max_workers=spec.loop_workers
+                LOOP_EXECUTOR, objective, max_workers=spec.loop_workers
             )
             if spec.loop_workers > 1
             else None
@@ -287,9 +399,9 @@ def run_synthetic_cell(spec: SyntheticCellSpec) -> list[TuningResult]:
             loop = TuningLoop(
                 objective,
                 optimizer,
-                max_steps=steps,
+                max_steps=spec.steps,
                 repeat_best=spec.budget.repeat_best,
-                strategy_name=spec.strategy,
+                strategy_name=spec.strategy_name,
                 executor=executor,
                 batch_size=spec.batch_size,
                 # Checkpointed passes always get per-evaluation seeds:
@@ -309,8 +421,7 @@ def run_synthetic_cell(spec: SyntheticCellSpec) -> list[TuningResult]:
                 executor.close()
         result.metadata.update(
             {
-                "size": spec.size,
-                "condition": spec.condition.label,
+                **spec.metadata(),
                 "pass": pass_idx,
                 "cell_seed": pass_seed,
                 "cell_seconds": time.perf_counter() - cell_t0,
@@ -319,119 +430,14 @@ def run_synthetic_cell(spec: SyntheticCellSpec) -> list[TuningResult]:
         cell_t0 = time.perf_counter()
         results.append(result)
     if store is not None:
-        _save_cell_results(
-            store, SYNTHETIC_STUDY_NAME, cell_label, results, spec.lease
-        )
-    return results
-
-
-class SyntheticStudy:
-    """The Figure 4–7 grid over synthetic topologies.
-
-    A thin strategy facade over :class:`~repro.service.campaign.
-    CampaignRunner`: this class keeps the paper-facing API (keyed
-    results, ``passes``/``best_pass``) while the campaign layer owns
-    orchestration and the store layer persistence.
-
-    ``n_jobs`` controls cell-level process parallelism directly;
-    ``workers``, when given, is a *total* budget split between cell
-    processes and in-loop evaluation concurrency via
-    :func:`split_worker_budget` (overriding ``n_jobs``).
-    """
-
-    def __init__(
-        self,
-        budget: Budget | None = None,
-        *,
-        conditions: Sequence[TopologyCondition] = CONDITIONS,
-        sizes: Sequence[str] = SIZES,
-        strategies: Sequence[str] = SYNTHETIC_STRATEGIES,
-        seed: int = 0,
-        fidelity: str = "analytic",
-        n_jobs: int = 1,
-        workers: int | None = None,
-        batch_size: int | None = None,
-        checkpoint_dir: str | None = None,
-        resilience: RetryPolicy | None = None,
-    ) -> None:
-        self.budget = budget or default_budget()
-        self.conditions = tuple(conditions)
-        self.sizes = tuple(sizes)
-        self.strategies = tuple(strategies)
-        self.seed = seed
-        self.fidelity = fidelity
-        self.workers = workers
-        self.batch_size = batch_size
-        self.checkpoint_dir = checkpoint_dir
-        self.resilience = resilience
-        self.campaign = CampaignSpec(
-            study=SYNTHETIC_STUDY_NAME,
-            budget=self.budget,
-            seed=seed,
-            fidelity=fidelity,
-            workers=workers,
-            n_jobs=n_jobs,
-            batch_size=batch_size,
-            store=checkpoint_dir,
-            resilience=resilience,
-            conditions=self.conditions,
-            sizes=self.sizes,
-            strategies=self.strategies,
-        )
-        self._runner = CampaignRunner(self.campaign)
-        self.n_jobs = self._runner.n_jobs
-        self.loop_workers = self._runner.loop_workers
-        self.results: dict[
-            tuple[TopologyCondition, str, str], list[TuningResult]
-        ] = {}
-
-    def specs(self) -> list[SyntheticCellSpec]:
-        return self._runner.cell_specs()[0]  # type: ignore[return-value]
-
-    def run(self) -> "SyntheticStudy":
-        specs = self.specs()
-        by_label = self._runner.run()
-        for spec in specs:
-            label = f"{spec.condition.label}/{spec.size}/{spec.strategy}"
-            self.results[(spec.condition, spec.size, spec.strategy)] = (
-                by_label[label]
+        if spec.lease is None:
+            store.save_results(spec.study, spec.cell, results)
+        else:
+            owner, token = spec.lease
+            store.save_results_fenced(
+                spec.study, spec.cell, results, owner=owner, token=int(token)
             )
-        return self
-
-    # ------------------------------------------------------------------
-    def passes(
-        self, condition: TopologyCondition, size: str, strategy: str
-    ) -> list[TuningResult]:
-        return self.results[(condition, size, strategy)]
-
-    def best_pass(
-        self, condition: TopologyCondition, size: str, strategy: str
-    ) -> TuningResult:
-        """The better of the passes (the paper graphs this one)."""
-        return best_of(self.passes(condition, size, strategy))
-
-
-@dataclass(frozen=True)
-class SundogArmSpec:
-    """One Figure 8 arm: a strategy on a parameter set."""
-
-    strategy: str  # 'pla', 'bo', 'bo180'
-    param_set: str  # 'h', 'h bs bp', 'bs bp cc'
-    budget: Budget
-    seed: int = 0
-    fidelity: str = "analytic"
-    loop_workers: int = 1
-    loop_executor: str = "thread"
-    batch_size: int | None = None
-    checkpoint_dir: str | None = None
-    resilience: RetryPolicy | None = None
-    #: ``(owner, fencing token)`` for fleet workers; see
-    #: :class:`SyntheticCellSpec`.
-    lease: tuple[str, int] | None = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.strategy}.{self.param_set}"
+    return results
 
 
 def _sundog_codec(
@@ -453,109 +459,6 @@ def _sundog_codec(
         include=include,
         fixed_hint=fixed_hint,
     )
-
-
-def run_sundog_arm(spec: SundogArmSpec) -> list[TuningResult]:
-    """Run all passes of one Figure 8 arm."""
-    store = None
-    cell_label = f"sundog_{spec.label}"
-    if spec.checkpoint_dir:
-        from repro.store import open_store
-
-        store = open_store(spec.checkpoint_dir)
-        cached = store.load_results(SUNDOG_STUDY_NAME, cell_label)
-        if cached is not None:
-            return cached
-    topology = sundog_topology()
-    cluster = default_cluster()
-    base_config = sundog_default_config(cluster.total_workers)
-    if spec.strategy == "bo180":
-        steps = spec.budget.steps_extended
-    elif spec.strategy == "pla":
-        steps = spec.budget.baseline_steps
-    else:
-        steps = spec.budget.steps
-    results: list[TuningResult] = []
-    base = cell_seed(spec.seed, spec.strategy, spec.param_set)
-    cell_t0 = time.perf_counter()
-    for pass_idx in range(spec.budget.passes):
-        pass_seed = base + pass_idx
-        slot = (
-            store.checkpoint_slot(
-                SUNDOG_STUDY_NAME, cell_label, f"pass{pass_idx}"
-            )
-            if store is not None
-            else None
-        )
-        if spec.strategy == "pla":
-            if spec.param_set != "h":
-                raise ValueError(
-                    "the parallel linear ascent only searches parallelism hints"
-                )
-            ucodec = UniformHintCodec(topology, cluster, base_config)
-            codec: ConfigCodec = ucodec
-            optimizer: Optimizer = ParallelLinearAscent(
-                "uniform_hint", ucodec.ascent_values(steps)
-            )
-        else:
-            scodec = _sundog_codec(spec.param_set, topology, cluster, base_config)
-            codec = scodec
-            initial = _sundog_default_params(scodec, base_config)
-            optimizer = BayesianOptimizer(
-                scodec.space, seed=pass_seed, initial_configs=[initial]
-            )
-        objective = StormObjective(
-            topology,
-            cluster,
-            codec,
-            fidelity=spec.fidelity,  # type: ignore[arg-type]
-            noise=GaussianNoise(MEASUREMENT_NOISE_SIGMA),
-            seed=pass_seed + 131,
-        )
-        executor = (
-            make_executor(
-                spec.loop_executor, objective, max_workers=spec.loop_workers
-            )
-            if spec.loop_workers > 1
-            else None
-        )
-        try:
-            loop = TuningLoop(
-                objective,
-                optimizer,
-                max_steps=steps,
-                repeat_best=spec.budget.repeat_best,
-                strategy_name=spec.label,
-                executor=executor,
-                batch_size=spec.batch_size,
-                seed=(
-                    pass_seed + 991
-                    if executor is not None or slot is not None
-                    else None
-                ),
-                checkpoint=slot,
-                resilience=spec.resilience,
-            )
-            result = loop.run()
-        finally:
-            if executor is not None:
-                executor.close()
-        result.metadata.update(
-            {
-                "param_set": spec.param_set,
-                "strategy": spec.strategy,
-                "pass": pass_idx,
-                "cell_seed": pass_seed,
-                "cell_seconds": time.perf_counter() - cell_t0,
-            }
-        )
-        cell_t0 = time.perf_counter()
-        results.append(result)
-    if store is not None:
-        _save_cell_results(
-            store, SUNDOG_STUDY_NAME, cell_label, results, spec.lease
-        )
-    return results
 
 
 def _sundog_default_params(
@@ -591,14 +494,26 @@ SUNDOG_ARMS: tuple[tuple[str, str], ...] = (
 )
 
 
-class SundogStudy:
-    """The Figure 8 arms over the Sundog topology."""
+class _Study:
+    """A study facade over :class:`~repro.service.campaign.CampaignRunner`.
+
+    It keeps the paper-facing API (results keyed by the grid's axes,
+    ``passes``/``best_pass``) while the campaign layer owns
+    orchestration and the store layer persistence.
+
+    ``n_jobs`` controls cell-level process parallelism directly;
+    ``workers``, when given, is a *total* budget split between cell
+    processes and in-loop evaluation concurrency via
+    :func:`~repro.service.campaign.split_worker_budget` (overriding
+    ``n_jobs``).
+    """
+
+    study_name: ClassVar[str]
 
     def __init__(
         self,
         budget: Budget | None = None,
         *,
-        arms: Iterable[tuple[str, str]] = SUNDOG_ARMS,
         seed: int = 0,
         fidelity: str = "analytic",
         n_jobs: int = 1,
@@ -606,17 +521,13 @@ class SundogStudy:
         batch_size: int | None = None,
         checkpoint_dir: str | None = None,
         resilience: RetryPolicy | None = None,
+        **axes: Any,
     ) -> None:
         self.budget = budget or default_budget()
-        self.arms = tuple(arms)
         self.seed = seed
         self.fidelity = fidelity
-        self.workers = workers
-        self.batch_size = batch_size
-        self.checkpoint_dir = checkpoint_dir
-        self.resilience = resilience
         self.campaign = CampaignSpec(
-            study=SUNDOG_STUDY_NAME,
+            study=self.study_name,
             budget=self.budget,
             seed=seed,
             fidelity=fidelity,
@@ -625,25 +536,69 @@ class SundogStudy:
             batch_size=batch_size,
             store=checkpoint_dir,
             resilience=resilience,
-            arms=self.arms,
+            **axes,
         )
         self._runner = CampaignRunner(self.campaign)
         self.n_jobs = self._runner.n_jobs
         self.loop_workers = self._runner.loop_workers
-        self.results: dict[tuple[str, str], list[TuningResult]] = {}
+        self.results: dict[Any, list[TuningResult]] = {}
 
-    def specs(self) -> list[SundogArmSpec]:
-        return self._runner.cell_specs()[0]  # type: ignore[return-value]
+    def specs(self) -> list[SyntheticCellSpec | SundogArmSpec]:
+        return self._runner.cell_specs()  # type: ignore[return-value]
 
-    def run(self) -> "SundogStudy":
-        specs = self.specs()
+    def run(self: _StudyT) -> _StudyT:
         by_label = self._runner.run()
-        for spec in specs:
-            self.results[(spec.strategy, spec.param_set)] = by_label[spec.label]
+        for spec in self.specs():
+            self.results[spec.key] = by_label[spec.label]
         return self
 
-    def passes(self, strategy: str, param_set: str) -> list[TuningResult]:
-        return self.results[(strategy, param_set)]
+    def passes(self, *key: Any) -> list[TuningResult]:
+        return self.results[key]
 
-    def best_pass(self, strategy: str, param_set: str) -> TuningResult:
-        return best_of(self.passes(strategy, param_set))
+    def best_pass(self, *key: Any) -> TuningResult:
+        """The better of the passes (the paper graphs this one)."""
+        return best_of(self.passes(*key))
+
+
+class SyntheticStudy(_Study):
+    """The Figure 4–7 grid over synthetic topologies, keyed by
+    ``(condition, size, strategy)``."""
+
+    study_name = SYNTHETIC_STUDY_NAME
+
+    def __init__(
+        self,
+        budget: Budget | None = None,
+        *,
+        conditions: Sequence[TopologyCondition] = CONDITIONS,
+        sizes: Sequence[str] = SIZES,
+        strategies: Sequence[str] = SYNTHETIC_STRATEGIES,
+        **options: Any,
+    ) -> None:
+        self.conditions = tuple(conditions)
+        self.sizes = tuple(sizes)
+        self.strategies = tuple(strategies)
+        super().__init__(
+            budget,
+            conditions=self.conditions,
+            sizes=self.sizes,
+            strategies=self.strategies,
+            **options,
+        )
+
+
+class SundogStudy(_Study):
+    """The Figure 8 arms over the Sundog topology, keyed by
+    ``(strategy, param_set)``."""
+
+    study_name = SUNDOG_STUDY_NAME
+
+    def __init__(
+        self,
+        budget: Budget | None = None,
+        *,
+        arms: Iterable[tuple[str, str]] = SUNDOG_ARMS,
+        **options: Any,
+    ) -> None:
+        self.arms = tuple(arms)
+        super().__init__(budget, arms=self.arms, **options)

@@ -1,10 +1,7 @@
 """Campaign orchestration: serializable study grids, leased cells.
 
-The experiment runner used to own all of this inline — worker-budget
-splitting, the process-pool fan-out with obs events, per-cell result
-caching on the filesystem.  This module extracts it into a service
-layer the runner (and anything else — the CLI, a future tuning daemon)
-drives through two types:
+Every study — from the experiment facades, the CLI or a detached fleet
+worker — runs through two types:
 
 * :class:`CampaignSpec` — a *data* description of one study campaign:
   which grid (``synthetic`` or ``sundog``), its axes, budget, seeds,
@@ -12,12 +9,14 @@ drives through two types:
   persistent state.  ``as_dict``/``from_dict`` round-trip it through
   JSON, so a campaign can be submitted, queued, or resumed by a process
   that never constructed the original Python objects.
-* :class:`CampaignRunner` — executes a spec: builds the cell specs,
-  splits the worker budget between cell processes and in-loop
-  evaluation concurrency (:func:`split_worker_budget`), and leases each
-  cell to :func:`run_cells`, which fans out over a process pool,
-  reports through the active obs context, and aggregates failures into
-  one :class:`StudyError` after every cell has been attempted.
+* :class:`CampaignRunner` — executes a spec: builds one cell spec per
+  grid cell, splits the worker budget between cell processes and
+  in-loop evaluation concurrency (:func:`split_worker_budget`), and
+  runs every cell through :func:`~repro.experiments.runner.run_cell` —
+  either over :func:`run_cells`, which fans out over a process pool,
+  reports through the active obs context and aggregates failures into
+  one :class:`StudyError` after every cell has been attempted, or over
+  a crash-safe worker fleet (:mod:`repro.service.queue`).
 
 Cells persist through :mod:`repro.store` (results cache + per-pass
 checkpoints), so a killed campaign resumes from whatever completed —
@@ -28,8 +27,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.core.history import TuningResult
 from repro.core.resilience import RetryPolicy
@@ -42,25 +41,15 @@ from repro.experiments.presets import (
 from repro.obs import runtime as obs_runtime
 from repro.topology_gen.suite import CONDITIONS, TopologyCondition
 
+if TYPE_CHECKING:
+    from repro.experiments.runner import CellSpec
+
 CAMPAIGN_KINDS = ("synthetic", "sundog")
 CAMPAIGN_MODES = ("pool", "fleet")
 
 #: Store state-document name under which a fleet campaign publishes its
 #: spec (cell ``""``), so `campaign workers` can attach by store alone.
 CAMPAIGN_STATE_NAME = "campaign"
-
-
-def store_cell_label(study: str, label: str) -> str:
-    """The store cell a campaign cell persists under.
-
-    Synthetic cells persist under their campaign label verbatim; sundog
-    arms carry a ``sundog_`` prefix in the store (the experiment runner
-    predates the campaign layer).  Fleet leases key on *store* labels so
-    the fenced result write and the lease land on the same cell.
-    """
-    if study == "sundog":
-        return f"sundog_{label}"
-    return label
 
 
 def split_worker_budget(workers: int, n_cells: int) -> tuple[int, int]:
@@ -156,13 +145,14 @@ def _cell_seconds(results: list[TuningResult], fallback: float) -> float:
 
 def run_cells(
     study_name: str,
-    specs: Sequence[object],
-    labels: Sequence[str],
-    cell_fn: Callable[..., list[TuningResult]],
+    specs: Sequence[CellSpec],
+    cell_fn: Callable[[CellSpec], list[TuningResult]],
     n_jobs: int,
     budget: Budget,
 ) -> list[list[TuningResult]]:
     """Run every study cell, reporting through the active obs context.
+
+    Cells are named by their ``label`` in events and failures.
 
     Emits ``study_start`` / ``cell_start`` / ``cell_finish`` /
     ``study_finish`` events (the progress sink renders them with a
@@ -176,14 +166,27 @@ def run_cells(
     :class:`StudyError` aggregating the failures is raised.
     """
     ctx = obs_runtime.current()
+    labels = [spec.label for spec in specs]
     ctx.tracer.event(
         "study_start",
         study=study_name,
         n_cells=len(specs),
-        budget=asdict(budget),
+        budget=budget.as_dict(),
     )
     outcomes: list[list[TuningResult]] = [[] for _ in specs]
     failures: list[tuple[str, str]] = []
+
+    def cell_started(i: int) -> None:
+        ctx.tracer.event(
+            "cell_start", study=study_name, cell=labels[i], seed=specs[i].seed
+        )
+
+    def cell_finished(i: int, seconds: float) -> None:
+        best = max(r.best_value for r in outcomes[i])
+        ctx.tracer.event(
+            "cell_finish", study=study_name, cell=labels[i], seconds=seconds,
+            best=best,
+        )
 
     def cell_failed(i: int, exc: Exception) -> None:
         detail = f"{type(exc).__name__}: {exc}"
@@ -199,12 +202,7 @@ def run_cells(
         ) as pool:
             futures = {}
             for i, spec in enumerate(specs):
-                ctx.tracer.event(
-                    "cell_start",
-                    study=study_name,
-                    cell=labels[i],
-                    seed=getattr(spec, "seed", None),
-                )
+                cell_started(i)
                 futures[pool.submit(cell_fn, spec)] = i
             for future in as_completed(futures):
                 i = futures[future]
@@ -218,34 +216,17 @@ def run_cells(
                     snap = result.metadata.get("obs_metrics")
                     if snap is not None:
                         ctx.metrics.merge_snapshot(snap)  # type: ignore[arg-type]
-                ctx.tracer.event(
-                    "cell_finish",
-                    study=study_name,
-                    cell=labels[i],
-                    seconds=seconds,
-                    best=max(r.best_value for r in outcomes[i]),
-                )
+                cell_finished(i, seconds)
     else:
         for i, spec in enumerate(specs):
-            ctx.tracer.event(
-                "cell_start",
-                study=study_name,
-                cell=labels[i],
-                seed=getattr(spec, "seed", None),
-            )
+            cell_started(i)
             t0 = time.perf_counter()
             try:
                 outcomes[i] = cell_fn(spec)
             except Exception as exc:
                 cell_failed(i, exc)
                 continue
-            ctx.tracer.event(
-                "cell_finish",
-                study=study_name,
-                cell=labels[i],
-                seconds=time.perf_counter() - t0,
-                best=max(r.best_value for r in outcomes[i]),
-            )
+            cell_finished(i, time.perf_counter() - t0)
     ctx.tracer.event(
         "study_finish",
         study=study_name,
@@ -260,14 +241,6 @@ def run_cells(
 # ----------------------------------------------------------------------
 # Serializable campaign descriptions
 # ----------------------------------------------------------------------
-def _budget_as_dict(budget: Budget) -> dict[str, int]:
-    return {k: int(v) for k, v in asdict(budget).items()}
-
-
-def _budget_from_dict(data: Mapping[str, object]) -> Budget:
-    return Budget(**{k: int(v) for k, v in data.items()})  # type: ignore[arg-type]
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """One study campaign as plain data.
@@ -291,7 +264,6 @@ class CampaignSpec:
     n_jobs: int = 1
     batch_size: int | None = None
     store: str | None = None
-    loop_executor: str = "thread"
     resilience: RetryPolicy | None = None
     #: ``pool``: one coordinator fans cells over a process pool.
     #: ``fleet``: ``workers`` independent, crash-safe worker processes
@@ -348,14 +320,13 @@ class CampaignSpec:
     def as_dict(self) -> dict[str, object]:
         return {
             "study": self.study,
-            "budget": _budget_as_dict(self.budget),
+            "budget": self.budget.as_dict(),
             "seed": self.seed,
             "fidelity": self.fidelity,
             "workers": self.workers,
             "n_jobs": self.n_jobs,
             "batch_size": self.batch_size,
             "store": self.store,
-            "loop_executor": self.loop_executor,
             "resilience": (
                 None if self.resilience is None else self.resilience.as_dict()
             ),
@@ -376,19 +347,27 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":
+        # Campaign documents published before the in-loop executor was
+        # fixed to threads carry ``"loop_executor": "thread"``.
+        loop_executor = data.get("loop_executor", "thread")
+        if loop_executor != "thread":
+            raise ValueError(
+                f"unsupported loop_executor {loop_executor!r}: cells run "
+                "their concurrent evaluations on threads"
+            )
+        budget = data.get("budget")
         resilience = data.get("resilience")
         workers = data.get("workers")
         batch_size = data.get("batch_size")
         return cls(
             study=str(data["study"]),
-            budget=_budget_from_dict(data.get("budget") or _budget_as_dict(default_budget())),  # type: ignore[arg-type]
+            budget=Budget.from_dict(budget) if budget else default_budget(),  # type: ignore[arg-type]
             seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
             fidelity=str(data.get("fidelity", "analytic")),
             workers=None if workers is None else int(workers),  # type: ignore[arg-type]
             n_jobs=int(data.get("n_jobs", 1)),  # type: ignore[arg-type]
             batch_size=None if batch_size is None else int(batch_size),  # type: ignore[arg-type]
             store=None if data.get("store") is None else str(data["store"]),
-            loop_executor=str(data.get("loop_executor", "thread")),
             resilience=(
                 None
                 if resilience is None
@@ -434,11 +413,12 @@ class CampaignRunner:
 
     The runner is the *strategy-free* half of a study: it turns the
     spec into cell specs (lazily importing the experiment runner, which
-    owns optimizer construction), leases them through
-    :func:`run_cells`, and returns outcomes keyed by cell label.  The
-    classic study classes (:class:`~repro.experiments.runner.
-    SyntheticStudy`, :class:`~repro.experiments.runner.SundogStudy`)
-    are thin facades over this.
+    owns optimizer construction), runs each through
+    :func:`~repro.experiments.runner.run_cell` — over :func:`run_cells`
+    or a worker fleet — and returns outcomes keyed by cell label.  The
+    study classes (:class:`~repro.experiments.runner.SyntheticStudy`,
+    :class:`~repro.experiments.runner.SundogStudy`) are thin facades
+    over this.
     """
 
     def __init__(self, spec: CampaignSpec) -> None:
@@ -448,65 +428,51 @@ class CampaignRunner:
         self.results: dict[str, list[TuningResult]] = {}
 
     # ------------------------------------------------------------------
-    def cell_specs(self) -> tuple[list[object], list[str], Callable[..., list[TuningResult]]]:
-        """``(specs, labels, cell_fn)`` for this campaign's grid.
+    def cell_specs(self) -> list[CellSpec]:
+        """One cell spec per cell of this campaign's grid, in grid order.
 
-        The experiment runner is imported here, not at module level:
-        it re-exports campaign names for backward compatibility, so a
-        top-level import would be circular.
+        The experiment runner is imported here, not at module level: it
+        builds its study facades on this module, so a top-level import
+        would be circular.
         """
         from repro.experiments import runner
 
         spec = self.spec
+        common = dict(
+            budget=spec.budget,
+            seed=spec.seed,
+            fidelity=spec.fidelity,
+            loop_workers=self.loop_workers,
+            batch_size=spec.batch_size,
+            checkpoint_dir=spec.store,
+            resilience=spec.resilience,
+        )
         if spec.study == "synthetic":
-            specs: list[object] = [
+            return [
                 runner.SyntheticCellSpec(
-                    size=size,
-                    condition=condition,
-                    strategy=strategy,
-                    budget=spec.budget,
-                    seed=spec.seed,
-                    fidelity=spec.fidelity,
-                    loop_workers=self.loop_workers,
-                    loop_executor=spec.loop_executor,
-                    batch_size=spec.batch_size,
-                    checkpoint_dir=spec.store,
-                    resilience=spec.resilience,
+                    size=size, condition=condition, strategy=strategy, **common
                 )
                 for condition in spec.conditions
                 for size in spec.sizes
                 for strategy in spec.strategies
             ]
-            labels = [
-                f"{s.condition.label}/{s.size}/{s.strategy}" for s in specs  # type: ignore[attr-defined]
-            ]
-            return specs, labels, runner.run_synthetic_cell
-        specs = [
+        return [
             runner.SundogArmSpec(
-                strategy=strategy,
-                param_set=param_set,
-                budget=spec.budget,
-                seed=spec.seed,
-                fidelity=spec.fidelity,
-                loop_workers=self.loop_workers,
-                loop_executor=spec.loop_executor,
-                batch_size=spec.batch_size,
-                checkpoint_dir=spec.store,
-                resilience=spec.resilience,
+                strategy=strategy, param_set=param_set, **common
             )
             for strategy, param_set in spec.arms
         ]
-        labels = [s.label for s in specs]  # type: ignore[attr-defined]
-        return specs, labels, runner.run_sundog_arm
 
     def run(self) -> dict[str, list[TuningResult]]:
         if self.spec.mode == "fleet":
             return self._run_fleet()
-        specs, labels, cell_fn = self.cell_specs()
+        from repro.experiments.runner import run_cell
+
+        specs = self.cell_specs()
         outcomes = run_cells(
-            self.spec.study, specs, labels, cell_fn, self.n_jobs, self.spec.budget
+            self.spec.study, specs, run_cell, self.n_jobs, self.spec.budget
         )
-        self.results = dict(zip(labels, outcomes))
+        self.results = {s.label: o for s, o in zip(specs, outcomes)}
         return self.results
 
     # ------------------------------------------------------------------
@@ -528,8 +494,7 @@ class CampaignRunner:
         from repro.store import open_store
 
         spec = self.spec
-        _specs, labels, _cell_fn = self.cell_specs()
-        cells = [store_cell_label(spec.study, label) for label in labels]
+        specs = self.cell_specs()
         ctx = obs_runtime.current()
         with open_store(spec.store) as store:
             store.save_state(
@@ -540,12 +505,12 @@ class CampaignRunner:
                 ttl_seconds=spec.lease_ttl_seconds,
                 max_claim_attempts=spec.max_claim_attempts,
             )
-            queue = CellQueue(store, spec.study, cells, policy)
+            queue = CellQueue(store, spec.study, [s.cell for s in specs], policy)
             ctx.tracer.event(
                 "study_start",
                 study=spec.study,
-                n_cells=len(labels),
-                budget=asdict(spec.budget),
+                n_cells=len(specs),
+                budget=spec.budget.as_dict(),
                 mode="fleet",
                 workers=self.n_jobs,
             )
@@ -554,7 +519,7 @@ class CampaignRunner:
             # Every respawn means a worker died mid-campaign; the
             # quarantine bound guarantees per-cell progress, so this
             # cap only stops a systemically broken fleet.
-            max_spawns = self.n_jobs + 4 * len(labels)
+            max_spawns = self.n_jobs + 4 * len(specs)
             t0 = time.perf_counter()
             while True:
                 pending = queue.pending_labels()
@@ -607,12 +572,13 @@ class CampaignRunner:
             seconds = time.perf_counter() - t0
             failures: list[tuple[str, str]] = []
             results: dict[str, list[TuningResult]] = {}
-            for label, cell in zip(labels, cells):
-                lease = store.read_lease(spec.study, cell)
+            for cell_spec in specs:
+                label = cell_spec.label
+                lease = store.read_lease(spec.study, cell_spec.cell)
                 if lease is not None and lease.status == "quarantined":
                     failures.append((label, lease.reason or "quarantined"))
                     continue
-                cell_results = store.load_results(spec.study, cell)
+                cell_results = store.load_results(spec.study, cell_spec.cell)
                 if not cell_results:
                     failures.append((label, "no results in the store"))
                     continue
@@ -624,7 +590,7 @@ class CampaignRunner:
             ctx.tracer.event(
                 "study_finish",
                 study=spec.study,
-                n_cells=len(labels),
+                n_cells=len(specs),
                 n_failed_cells=len(failures),
                 seconds=seconds,
             )

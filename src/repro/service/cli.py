@@ -49,51 +49,39 @@ def _load_fleet_spec(store: StudyStore, store_spec: str):
     )
 
 
-def _smoke_overrides() -> dict[str, object]:
+def _smoke_overrides(study: str) -> dict[str, object]:
     """Tiny axes/budget: exercise the fleet wiring, not the science."""
     from repro.experiments.presets import Budget
     from repro.topology_gen.suite import CONDITIONS
 
+    budget = Budget(
+        steps=4, steps_extended=5, baseline_steps=6, passes=1, repeat_best=2
+    )
+    if study == "sundog":
+        return {"budget": budget, "arms": (("pla", "h"), ("bo", "h"))}
     return {
-        "budget": Budget(
-            steps=4, steps_extended=5, baseline_steps=6,
-            passes=1, repeat_best=2,
-        ),
+        "budget": budget,
         "conditions": CONDITIONS[:1],
         "sizes": ("small",),
         "strategies": ("pla", "bo"),
-        "arms": (("pla", "h"), ("bo", "h")),
     }
 
 
 def _run(args: argparse.Namespace, sink: obs.ProgressSink) -> int:
-    from repro.experiments.presets import SIZES, SYNTHETIC_STRATEGIES
-    from repro.experiments.runner import SUNDOG_ARMS
     from repro.service.campaign import CampaignRunner, CampaignSpec, StudyError
-    from repro.topology_gen.suite import CONDITIONS
 
-    axes: dict[str, object] = {
-        "conditions": CONDITIONS,
-        "sizes": SIZES,
-        "strategies": SYNTHETIC_STRATEGIES,
-        "arms": SUNDOG_ARMS,
-    }
-    if args.smoke:
-        axes.update(_smoke_overrides())
-    if args.study == "sundog":
-        for key in ("conditions", "sizes", "strategies"):
-            axes.pop(key)
-    else:
-        axes.pop("arms")
-    spec = CampaignSpec(
-        study=args.study,
+    # The study's classmethod fills in the paper's axes.
+    make_spec = (
+        CampaignSpec.sundog if args.study == "sundog" else CampaignSpec.synthetic
+    )
+    spec = make_spec(
         seed=args.seed,
         workers=args.workers,
         store=args.store,
         mode=args.mode,
         lease_ttl_seconds=args.ttl,
         max_claim_attempts=args.max_claim_attempts,
-        **axes,  # type: ignore[arg-type]
+        **(_smoke_overrides(args.study) if args.smoke else {}),
     )
     runner = CampaignRunner(spec)
     with obs.session(
@@ -172,24 +160,20 @@ def _workers(args: argparse.Namespace, sink: obs.ProgressSink) -> int:
 
 
 def _status(args: argparse.Namespace, sink: obs.ProgressSink) -> int:
-    from repro.service.campaign import store_cell_label
+    from repro.service.campaign import CampaignRunner
     from repro.service.queue import CellQueue
     from repro.store import open_store
 
     with open_store(args.store) as store:
         spec = _load_fleet_spec(store, args.store)
-        from repro.service.campaign import CampaignRunner
-
-        _specs, labels, _fn = CampaignRunner(spec).cell_specs()
-        cells = [store_cell_label(spec.study, label) for label in labels]
-        queue = CellQueue(store, spec.study, cells)
-        rows = queue.rows()
+        specs = CampaignRunner(spec).cell_specs()
+        rows = CellQueue(store, spec.study, [s.cell for s in specs]).rows()
     sink.result(
         f"campaign {spec.study} in {args.store} "
         f"({len(rows)} cell(s), mode {spec.mode})"
     )
     terminal = 0
-    for label, row in zip(labels, rows):
+    for cell_spec, row in zip(specs, rows):
         status = str(row["status"])
         if status in ("committed", "quarantined"):
             terminal += 1
@@ -202,7 +186,7 @@ def _status(args: argparse.Namespace, sink: obs.ProgressSink) -> int:
         if row.get("reason"):
             detail += f" reason={row['reason']}"
         sink.result(
-            f"  {status:<11} {label}  obs={row['observations']}"
+            f"  {status:<11} {cell_spec.label}  obs={row['observations']}"
             f" results={'yes' if row['results'] else 'no'}{detail}"
         )
     sink.result(f"{terminal}/{len(rows)} cell(s) terminal")

@@ -43,9 +43,8 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from repro.core.history import TuningResult
 from repro.core.resilience import classify_failure
 from repro.obs import runtime as obs_runtime
 from repro.store import open_store
@@ -56,6 +55,9 @@ from repro.store.base import (
     StaleLeaseError,
     StudyStore,
 )
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import CellSpec
 
 
 def default_owner() -> str:
@@ -296,25 +298,28 @@ class WorkerReport:
 
 
 def run_worker(
-    spec: "CampaignSpec",  # noqa: F821 - forward ref, see import below
+    spec: "CampaignSpec",  # noqa: F821 - imported in the body
     owner: str | None = None,
     *,
     policy: QueuePolicy | None = None,
     stop: threading.Event | None = None,
     install_sigterm: bool = False,
-    cells: tuple[Sequence[object], Sequence[str], Callable[..., list[TuningResult]], str]
-    | None = None,
+    cells: Sequence[CellSpec] | None = None,
+    cell_fn: Callable[[CellSpec], object] | None = None,
 ) -> WorkerReport:
     """One worker process's whole life: claim → heartbeat → commit.
 
     Loops until every cell of the campaign is terminal (committed or
     quarantined) or ``stop`` is set (SIGTERM drain when
     ``install_sigterm``: finish the current cell, commit it, exit
-    cleanly).  ``cells`` overrides the campaign grid with an explicit
-    ``(specs, labels, cell_fn, study)`` tuple — the unit-test hook for
-    poisoned-cell scenarios.
+    cleanly).  ``cells`` and ``cell_fn`` override the campaign grid and
+    :func:`~repro.experiments.runner.run_cell` — the unit-test hook for
+    poisoned-cell scenarios.  Leases key on each spec's store ``cell``,
+    so the fenced result write and the lease land on the same cell.
     """
-    from repro.service.campaign import CampaignSpec  # circular at import
+    # Both circular at import: the campaign layer spawns these workers.
+    from repro.experiments.runner import run_cell
+    from repro.service.campaign import CampaignRunner, CampaignSpec
 
     assert isinstance(spec, CampaignSpec)
     if not spec.store:
@@ -328,22 +333,16 @@ def run_worker(
     if install_sigterm:
         signal.signal(signal.SIGTERM, lambda *_args: stop.set())
     if cells is None:
-        from repro.service.campaign import CampaignRunner, store_cell_label
-
-        specs, labels, cell_fn = CampaignRunner(spec).cell_specs()
-        # Leases key on *store* cell labels so the fenced result write
-        # and the lease land on the same cell (sundog labels differ).
-        labels = [store_cell_label(spec.study, label) for label in labels]
-        study = spec.study
-    else:
-        specs, labels, cell_fn, study = cells
-    by_label = dict(zip(labels, specs))
+        cells = CampaignRunner(spec).cell_specs()
+    run = cell_fn or run_cell
+    by_cell = {c.cell: c for c in cells}
+    study = spec.study
     store = open_store(spec.store)
-    queue = CellQueue(store, study, labels, policy)
+    queue = CellQueue(store, study, list(by_cell), policy)
     report = WorkerReport(owner=owner)
     ctx = obs_runtime.current()
     ctx.tracer.event(
-        "worker.start", worker=owner, study=study, n_cells=len(labels)
+        "worker.start", worker=owner, study=study, n_cells=len(by_cell)
     )
     _count("worker.starts")
 
@@ -391,10 +390,7 @@ def run_worker(
             attempts=lease.attempts,
         )
         try:
-            cell_spec = dataclasses.replace(
-                by_label[label], lease=(owner, lease.token)
-            )
-            cell_fn(cell_spec)
+            run(dataclasses.replace(by_cell[label], lease=(owner, lease.token)))
         except (KeyboardInterrupt, SystemExit):
             heartbeat.stop()
             raise

@@ -127,15 +127,18 @@ class SqliteStudyStore(StudyStore):
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_MS / 1000)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=FULL")
-        self._conn.execute("PRAGMA foreign_keys=ON")
-        self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         #: Busy-retry knobs, patchable in tests (jitter only perturbs
         #: wall-clock sleeps, never stored values).
         self._sleep = time.sleep
         self._jitter = random.Random()
+        self._conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_MS / 1000)
+        # Switching a rollback-journal file to WAL needs an exclusive
+        # lock, and SQLite reports a held lock at once instead of
+        # waiting out the busy timeout: back off like any write.
+        self._retry(lambda: self._conn.execute("PRAGMA journal_mode=WAL"))
+        self._conn.execute("PRAGMA synchronous=FULL")
+        self._conn.execute("PRAGMA foreign_keys=ON")
+        self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         self._retry(self._migrate)
 
     def describe(self) -> str:

@@ -9,6 +9,7 @@ libraries.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -120,3 +121,28 @@ def test_thread_count_does_not_change_the_history():
     assert one["refits"] >= 2 and one["updates"] >= 1, one
     assert (one["refits"], one["updates"]) == (two["refits"], two["updates"])
     assert one["history"].encode() == two["history"].encode()
+
+
+def _top_level_imports(path: Path) -> list[str]:
+    """Top-level package of every module-level import, in source order."""
+    tops = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Import):
+            tops.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            tops.append(node.module.split(".")[0])
+    return tops
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "benchmarks").glob("*.py")),
+    ids=lambda p: p.name,
+)
+def test_benchmark_scripts_import_repro_before_numpy(path):
+    # Run as scripts, benchmarks load numpy's OpenBLAS when they first
+    # import numpy or scipy: repro must come first to pin its pool.
+    tops = _top_level_imports(path)
+    first_repro = tops.index("repro") if "repro" in tops else len(tops)
+    early = [top for top in tops[:first_repro] if top in ("numpy", "scipy")]
+    assert not early, f"{path.name} imports {early} before repro"

@@ -6,12 +6,11 @@ import pytest
 
 from repro.experiments.presets import Budget
 from repro.core.resilience import RetryPolicy
-from repro.experiments.runner import SyntheticStudy
+from repro.experiments.runner import SundogArmSpec, SyntheticCellSpec, SyntheticStudy
 from repro.service.campaign import (
     CampaignRunner,
     CampaignSpec,
     split_worker_budget,
-    store_cell_label,
 )
 from repro.topology_gen.suite import CONDITIONS
 
@@ -96,9 +95,8 @@ class TestCampaignRunner:
 
     def test_cell_specs_match_the_grid(self):
         runner = CampaignRunner(self._tiny_spec())
-        specs, labels, _ = runner.cell_specs()
-        assert len(specs) == len(labels) == 1
-        assert labels[0] == f"{CONDITIONS[0].label}/small/pla"
+        (spec,) = runner.cell_specs()
+        assert spec.label == spec.cell == f"{CONDITIONS[0].label}/small/pla"
 
     def test_run_matches_study_facade(self, tmp_path):
         spec = self._tiny_spec(seed=5)
@@ -166,6 +164,16 @@ class TestFleetMode:
         assert (clone.mode, clone.lease_ttl_seconds) == ("fleet", 7.5)
         assert clone.max_claim_attempts == 9
 
+    def test_published_thread_loop_executor_is_accepted(self):
+        spec = self._tiny()
+        data = {**spec.as_dict(), "loop_executor": "thread"}
+        assert CampaignSpec.from_dict(data) == spec
+
+    def test_other_loop_executors_are_rejected(self):
+        data = {**self._tiny().as_dict(), "loop_executor": "process"}
+        with pytest.raises(ValueError, match="loop_executor"):
+            CampaignSpec.from_dict(data)
+
     def test_dicts_without_fleet_fields_default_to_pool(self):
         data = self._tiny().as_dict()
         for key in ("mode", "lease_ttl_seconds", "max_claim_attempts"):
@@ -177,8 +185,13 @@ class TestFleetMode:
         assert spec.worker_split() == (4, 1)
 
     def test_store_cell_label_maps_sundog(self):
-        assert store_cell_label("synthetic", "a/small/bo") == "a/small/bo"
-        assert store_cell_label("sundog", "bo.h") == "sundog_bo.h"
+        budget = Budget()
+        synthetic = SyntheticCellSpec(
+            size="small", condition=CONDITIONS[0], strategy="bo", budget=budget
+        )
+        assert synthetic.cell == synthetic.label
+        sundog = SundogArmSpec(strategy="bo", param_set="h", budget=budget)
+        assert (sundog.label, sundog.cell) == ("bo.h", "sundog_bo.h")
 
     def test_fleet_run_matches_a_serial_pool_run(self, tmp_path):
         from repro.core.checkpoint import canonical_history
@@ -205,3 +218,38 @@ class TestFleetMode:
                 for lease in store.leases("synthetic")
             }
         assert set(statuses.values()) == {"committed"}
+
+    def test_sundog_fleet_matches_a_serial_pool_run(self, tmp_path):
+        from repro.core.checkpoint import canonical_history
+        from repro.store import open_store
+
+        common = dict(
+            budget=Budget(
+                steps=4, steps_extended=5, baseline_steps=6, passes=1,
+                repeat_best=2,
+            ),
+            arms=(("pla", "h"), ("bo", "h")),
+            seed=3,
+        )
+        fleet_spec = CampaignSpec.sundog(
+            store=str(tmp_path / "fleet.db"), mode="fleet", workers=2,
+            lease_ttl_seconds=15.0, **common,
+        )
+        pool_spec = CampaignSpec.sundog(
+            store=str(tmp_path / "pool.db"), mode="pool", n_jobs=1, **common
+        )
+        fleet = CampaignRunner(fleet_spec).run()
+        pool = CampaignRunner(pool_spec).run()
+        assert sorted(fleet) == sorted(pool) == ["bo.h", "pla.h"]
+        for label in pool:
+            assert [
+                canonical_history(r.observations) for r in fleet[label]
+            ] == [canonical_history(r.observations) for r in pool[label]]
+        with open_store(fleet_spec.store) as store:
+            # The published campaign spec sits at cell "".
+            assert store.cells("sundog") == ["", "sundog_bo.h", "sundog_pla.h"]
+            assert store.has_results("sundog", "sundog_bo.h")
+            assert store.has_results("sundog", "sundog_pla.h")
+            assert {
+                lease.cell: lease.status for lease in store.leases("sundog")
+            } == {"sundog_bo.h": "committed", "sundog_pla.h": "committed"}

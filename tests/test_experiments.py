@@ -21,8 +21,7 @@ from repro.experiments.runner import (
     SundogStudy,
     SyntheticCellSpec,
     SyntheticStudy,
-    run_sundog_arm,
-    run_synthetic_cell,
+    run_cell,
 )
 from repro.topology_gen.suite import CONDITIONS, TopologyCondition
 
@@ -155,7 +154,7 @@ class TestSyntheticStudy:
             strategy="pla",
             budget=quick_budget(),
         )
-        results = run_synthetic_cell(spec)
+        results = run_cell(spec)
         assert results[0].metadata["size"] == "small"
         assert "Contentious" in results[0].metadata["condition"]
 
@@ -167,7 +166,7 @@ class TestSyntheticStudy:
             budget=quick_budget(),
         )
         with pytest.raises(ValueError):
-            run_synthetic_cell(spec)
+            run_cell(spec)
 
 
 class TestSundogStudy:
@@ -209,7 +208,18 @@ class TestSundogStudy:
             strategy="pla", param_set="h bs bp", budget=quick_budget()
         )
         with pytest.raises(ValueError):
-            run_sundog_arm(spec)
+            run_cell(spec)
+
+    @pytest.mark.parametrize(
+        "strategy, param_set",
+        [("rs", "h"), ("ipla", "h"), ("magic", "h"), ("bo", "h bs")],
+    )
+    def test_unknown_strategy_or_param_set_rejected(self, strategy, param_set):
+        spec = SundogArmSpec(
+            strategy=strategy, param_set=param_set, budget=quick_budget()
+        )
+        with pytest.raises(ValueError, match="unknown sundog"):
+            run_cell(spec)
 
 
 class TestReportRendering:

@@ -12,7 +12,7 @@ from repro.core.history import (
     best_of,
     convergence_spread,
 )
-from repro.core.loop import TuningLoop, run_passes
+from repro.core.loop import TuningLoop
 
 
 def make_result(values, strategy="test"):
@@ -149,28 +149,6 @@ class TestTuningLoop:
         opt = ParallelLinearAscent("h", [1, 2])
         result = TuningLoop(lambda c: 1.0, opt, max_steps=2).run()
         assert result.strategy == "ParallelLinearAscent"
-
-
-class TestRunPasses:
-    def test_independent_passes(self):
-        def make_optimizer(seed):
-            return GridAscentOptimizer([{"h": i} for i in range(1, 5)])
-
-        results = run_passes(
-            make_optimizer,
-            lambda c: float(c["h"]),
-            passes=3,
-            max_steps=4,
-            repeat_best=2,
-            strategy_name="grid",
-        )
-        assert len(results) == 3
-        assert all(r.strategy == "grid" for r in results)
-        assert all(len(r.best_rerun_values) == 2 for r in results)
-
-    def test_passes_validation(self):
-        with pytest.raises(ValueError):
-            run_passes(lambda s: None, lambda c: 1.0, passes=0)
 
 
 class TestPatience:

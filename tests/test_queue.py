@@ -18,9 +18,12 @@ import time
 import pytest
 
 from repro.core.history import Observation, TuningResult
-from repro.service.campaign import CampaignSpec, store_cell_label
+from repro.experiments.presets import Budget
+from repro.experiments.runner import SundogArmSpec, SyntheticCellSpec
+from repro.service.campaign import CampaignSpec
 from repro.service.queue import CellQueue, QueuePolicy, WorkerReport, run_worker
 from repro.store import Lease, SqliteStudyStore, StaleLeaseError, open_store
+from repro.topology_gen.suite import CONDITIONS
 
 STUDY = "synthetic"
 
@@ -200,12 +203,16 @@ class TestCellQueue:
 
 
 # ----------------------------------------------------------------------
-# run_worker (driven through the cells= override)
+# run_worker (driven through the cells= / cell_fn= override)
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class _CellSpec:
     label: str
     lease: tuple[str, int] | None = None
+
+    @property
+    def cell(self) -> str:
+        return self.label
 
 
 def _worker_spec(store_spec, **kwargs) -> CampaignSpec:
@@ -239,10 +246,11 @@ def _make_cell_fn(store_spec, calls, failures=None):
 
 
 def _cells(store_spec, labels, calls, failures=None):
-    specs = [_CellSpec(label) for label in labels]
-    return (
-        specs, list(labels), _make_cell_fn(store_spec, calls, failures), STUDY
-    )
+    """``run_worker`` keyword overrides: the cells and their cell function."""
+    return {
+        "cells": [_CellSpec(label) for label in labels],
+        "cell_fn": _make_cell_fn(store_spec, calls, failures),
+    }
 
 
 class TestRunWorker:
@@ -250,7 +258,7 @@ class TestRunWorker:
         db = tmp_path / "q.db"
         calls: list[str] = []
         report = run_worker(
-            _worker_spec(db), "w1", cells=_cells(db, ["a", "b"], calls)
+            _worker_spec(db), "w1", **_cells(db, ["a", "b"], calls)
         )
         assert sorted(report.committed) == ["a", "b"]
         assert report.clean and not report.drained
@@ -271,7 +279,7 @@ class TestRunWorker:
             )
         calls: list[str] = []
         report = run_worker(
-            _worker_spec(db), "w2", cells=_cells(db, ["a"], calls)
+            _worker_spec(db), "w2", **_cells(db, ["a"], calls)
         )
         assert report.repaired == ["a"]
         assert calls == []  # never re-run
@@ -284,7 +292,7 @@ class TestRunWorker:
         calls: list[str] = []
         report = run_worker(
             _worker_spec(db), "w1",
-            cells=_cells(
+            **_cells(
                 db, ["a", "b"], calls,
                 failures={"a": ValueError("bad geometry")},
             ),
@@ -305,7 +313,7 @@ class TestRunWorker:
         spec = _worker_spec(db, max_claim_attempts=3)
         report = run_worker(
             spec, "w1",
-            cells=_cells(
+            **_cells(
                 db, ["a"], calls,
                 failures={"a": RuntimeError("worker_crash: injected")},
             ),
@@ -330,7 +338,7 @@ class TestRunWorker:
 
         report = run_worker(
             _worker_spec(db), "w1", stop=stop,
-            cells=(specs, ["a", "b"], draining_cell_fn, STUDY),
+            cells=specs, cell_fn=draining_cell_fn,
         )
         assert report.committed == ["a"]
         assert report.drained
@@ -366,7 +374,7 @@ class TestRunWorker:
 
         def drive():
             result["report"] = run_worker(
-                spec, "w1", cells=(specs, ["a"], slow_cell_fn, STUDY)
+                spec, "w1", cells=specs, cell_fn=slow_cell_fn
             )
 
         worker = threading.Thread(target=drive)
@@ -399,11 +407,15 @@ class TestRunWorker:
         calls: list[str] = []
         spec = _worker_spec(db)
         reports: dict[str, WorkerReport] = {}
+        errors: list[BaseException] = []
 
         def drive(owner):
-            reports[owner] = run_worker(
-                spec, owner, cells=_cells(db, labels, calls)
-            )
+            try:
+                reports[owner] = run_worker(
+                    spec, owner, **_cells(db, labels, calls)
+                )
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
 
         threads = [
             threading.Thread(target=drive, args=(f"w{i}",)) for i in range(2)
@@ -412,6 +424,7 @@ class TestRunWorker:
             t.start()
         for t in threads:
             t.join()
+        assert errors == []  # both workers opened the fresh store
         committed = sorted(
             label for r in reports.values() for label in r.committed
         )
@@ -426,7 +439,12 @@ class TestRunWorker:
 
 class TestStoreCellLabel:
     def test_synthetic_is_identity(self):
-        assert store_cell_label("synthetic", "c/small/bo") == "c/small/bo"
+        spec = SyntheticCellSpec(
+            size="small", condition=CONDITIONS[2], strategy="bo",
+            budget=Budget(),
+        )
+        assert spec.cell == spec.label == f"{CONDITIONS[2].label}/small/bo"
 
     def test_sundog_carries_the_store_prefix(self):
-        assert store_cell_label("sundog", "bo.h") == "sundog_bo.h"
+        spec = SundogArmSpec(strategy="bo", param_set="h", budget=Budget())
+        assert spec.cell == "sundog_bo.h"

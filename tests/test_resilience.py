@@ -331,7 +331,7 @@ class TestControlFlowExceptions:
 
         @dc.dataclass(frozen=True)
         class Cell:
-            label: str
+            cell: str
             lease: tuple | None = None
 
         def interrupting_cell(cell):
@@ -343,7 +343,7 @@ class TestControlFlowExceptions:
         with pytest.raises(exc_type):
             run_worker(
                 spec, "w1",
-                cells=([Cell("a")], ["a"], interrupting_cell, "synthetic"),
+                cells=[Cell("a")], cell_fn=interrupting_cell,
             )
 
 

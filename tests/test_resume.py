@@ -30,13 +30,8 @@ from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.parameters import IntParameter, ParameterSpace
 from repro.experiments.presets import Budget
-from repro.experiments.runner import (
-    StudyError,
-    SyntheticCellSpec,
-    SyntheticStudy,
-    evaluation_failure_rows,
-    run_synthetic_cell,
-)
+from repro.experiments.runner import SyntheticCellSpec, SyntheticStudy, run_cell
+from repro.service.campaign import StudyError, evaluation_failure_rows
 from repro.store import STORE_FILENAME, SqliteStudyStore, open_store
 from repro.topology_gen.suite import CONDITIONS
 
@@ -382,7 +377,7 @@ class TestStudyCheckpointing:
         )
 
     def test_cell_writes_pass_and_done_files(self, tmp_path):
-        results = run_synthetic_cell(self._spec(tmp_path))
+        results = run_cell(self._spec(tmp_path))
         assert (tmp_path / STORE_FILENAME).is_file()
         with open_store(tmp_path) as store:
             (cell,) = store.cells("synthetic")
@@ -391,8 +386,8 @@ class TestStudyCheckpointing:
         assert results[0].observations
 
     def test_done_cell_is_not_rerun(self, tmp_path):
-        first = run_synthetic_cell(self._spec(tmp_path))
-        again = run_synthetic_cell(self._spec(tmp_path))
+        first = run_cell(self._spec(tmp_path))
+        again = run_cell(self._spec(tmp_path))
         assert histories_match(
             first[0].observations, again[0].observations
         )

@@ -14,7 +14,7 @@ from repro.experiments.presets import (
 from repro.experiments.runner import (
     SyntheticCellSpec,
     make_synthetic_optimizer,
-    run_synthetic_cell,
+    run_cell,
 )
 from repro.storm.spaces import (
     InformedMultiplierCodec,
@@ -94,6 +94,6 @@ def test_random_search_cell_runs():
         strategy="rs",
         budget=budget,
     )
-    results = run_synthetic_cell(spec)
+    results = run_cell(spec)
     assert results[0].n_steps == 6
     assert results[0].best_value > 0

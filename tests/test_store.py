@@ -385,6 +385,26 @@ class TestSqliteBusyRetry:
                 lease.status == "committed" for lease in store.leases("s")
             )
 
+    def test_open_waits_out_a_held_lock_on_a_fresh_database(self, tmp_path):
+        """Regression: switching a rollback-journal file to WAL fails at
+        once while another connection holds a write lock; the open must
+        back off like any write instead of raising."""
+        path = tmp_path / "fresh.db"
+        holder = sqlite3.connect(
+            path, isolation_level=None, check_same_thread=False
+        )
+        holder.execute("CREATE TABLE t (x INTEGER)")  # journal_mode=delete
+        holder.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.3, lambda: holder.execute("COMMIT"))
+        release.start()
+        try:
+            store = SqliteStudyStore(path)
+        finally:
+            release.join()
+            holder.close()
+        assert store.schema_version() == SCHEMA_VERSION
+        store.close()
+
 
 class TestOpenStore:
     def test_routing_by_suffix(self, tmp_path):
