@@ -19,9 +19,9 @@ A from-scratch Spearmint-style optimizer (paper §III-C):
   parallelism weights (§V-A),
 * :mod:`repro.core.loop` — the experiment driver measuring per-step
   wall time and re-running best configurations,
-* :mod:`repro.core.executor` — pluggable evaluation executors (serial,
-  thread pool, process pool) that let the loop keep several proposals
-  in flight,
+* :mod:`repro.core.executor` — pluggable evaluation executors (inline
+  serial, thread pool) that let the loop keep several proposals in
+  flight,
 * :mod:`repro.core.seeding` — deterministic per-stream seed derivation
   shared by the executors and the experiment runner.
 """
@@ -47,10 +47,8 @@ from repro.core.drift import PageHinkleyDetector
 from repro.core.executor import (
     EvaluationExecutor,
     EvaluationOutcome,
-    ProcessPoolExecutor,
     SerialExecutor,
     ThreadPoolExecutor,
-    make_executor,
 )
 from repro.core.gp import GaussianProcess
 from repro.core.history import Observation, TuningResult
@@ -92,7 +90,6 @@ __all__ = [
     "ParallelLinearAscent",
     "Parameter",
     "ParameterSpace",
-    "ProcessPoolExecutor",
     "RBF",
     "RandomSearchOptimizer",
     "SerialExecutor",
@@ -102,7 +99,6 @@ __all__ = [
     "base_parallelism_weights",
     "derive_seed",
     "expected_improvement",
-    "make_executor",
     "probability_of_improvement",
     "upper_confidence_bound",
 ]

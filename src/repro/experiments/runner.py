@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, ClassVar, Iterable, Sequence, TypeVar
 
 from repro.core.baselines import Optimizer, ParallelLinearAscent
-from repro.core.executor import make_executor
+from repro.core.executor import ThreadPoolExecutor
 from repro.core.history import TuningResult, best_of
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
@@ -84,9 +84,6 @@ SUNDOG_PLA_BEST_HINT = 11
 #: Store study names the two grids persist under.
 SYNTHETIC_STUDY_NAME = "synthetic"
 SUNDOG_STUDY_NAME = "sundog"
-
-#: The evaluation executor of a cell whose loops run concurrently.
-LOOP_EXECUTOR = "thread"
 
 #: What every pass of a cell runs on: topology, cluster, base config.
 Substrate = tuple[Topology, ClusterSpec, TopologyConfig]
@@ -185,8 +182,8 @@ def make_synthetic_optimizer(
 class CellSpec:
     """What every study cell carries besides its grid axes.
 
-    ``loop_workers`` > 1 runs the cell's tuning loops over a concurrent
-    evaluation executor (:data:`LOOP_EXECUTOR`, ``batch_size``
+    ``loop_workers`` > 1 runs the cell's tuning loops over a
+    :class:`~repro.core.executor.ThreadPoolExecutor` (``batch_size``
     in-flight proposals — default the worker count); per-evaluation
     seeds keep the observations order-independent.
 
@@ -389,9 +386,7 @@ def run_cell(spec: SyntheticCellSpec | SundogArmSpec) -> list[TuningResult]:
             seed=pass_seed + spec.objective_seed_offset,
         )
         executor = (
-            make_executor(
-                LOOP_EXECUTOR, objective, max_workers=spec.loop_workers
-            )
+            ThreadPoolExecutor(objective, max_workers=spec.loop_workers)
             if spec.loop_workers > 1
             else None
         )

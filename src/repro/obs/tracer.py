@@ -93,8 +93,10 @@ class Tracer:
     """Emitting tracer: spans and events go to ``emit`` callables.
 
     Single-threaded by design — the tuning loop, engines, and studies
-    all run spans on one thread per process (process-pool workers get
-    their own module state, hence their own tracer).
+    all run spans on one thread per process (campaign cell processes
+    and fleet workers get their own module state, hence their own
+    tracer; thread-executor evaluations may interleave their engine
+    spans, see docs/OBSERVABILITY.md).
     """
 
     enabled = True

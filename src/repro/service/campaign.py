@@ -86,14 +86,6 @@ class StudyError(RuntimeError):
         )
 
 
-def _result_label(key: object) -> str:
-    if isinstance(key, tuple):
-        return "/".join(
-            getattr(part, "label", None) or str(part) for part in key
-        )
-    return getattr(key, "label", None) or str(key)
-
-
 def evaluation_failure_rows(study: object) -> list[dict[str, object]]:
     """Runs whose evaluations *all* failed, as CLI-table rows.
 
@@ -101,18 +93,18 @@ def evaluation_failure_rows(study: object) -> list[dict[str, object]]:
     best configuration worth reporting — the paper's procedure (graph
     the best pass, re-measure the winner) is meaningless for it.  The
     CLI prints these rows and exits nonzero so automation notices.
+    Each row names its cell by the campaign label (``spec.label``),
+    as obs events and :class:`StudyError` do.
     """
     rows: list[dict[str, object]] = []
-    results_by_key = getattr(study, "results", {})
-    for key, results in results_by_key.items():
-        label = _result_label(key)
-        for result in results:
+    for spec in study.specs():  # type: ignore[attr-defined]
+        for result in study.results.get(spec.key, ()):  # type: ignore[attr-defined]
             obs = result.observations
             if not obs or not all(o.failed for o in obs):
                 continue
             rows.append(
                 {
-                    "cell": label,
+                    "cell": spec.label,
                     "pass": result.metadata.get("pass", ""),
                     "failed_steps": len(obs),
                     "last_reason": obs[-1].failure_reason or "unknown",

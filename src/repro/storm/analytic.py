@@ -260,8 +260,8 @@ class AnalyticPerformanceModel:
     def batch_model(self) -> AnalyticBatchModel:
         """Vectorized evaluator sharing this model's hoisted structures.
 
-        Built lazily so pickled models (process-pool executors) stay
-        small; the batch model is reconstructed on first use.
+        Built lazily so a pickled model stays small; the batch model is
+        reconstructed on first use.
         """
         if self._batch_model is None:
             from repro.storm.analytic_batch import AnalyticBatchModel

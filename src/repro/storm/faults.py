@@ -168,7 +168,7 @@ class FaultPlan:
     """Seed-derived fault decisions plus their application to a run.
 
     Construction is cheap and the object is immutable state-wise, so it
-    pickles into process-pool workers alongside the objective.
+    can be shared by every worker thread evaluating the objective.
     """
 
     def __init__(self, spec: FaultSpec) -> None:
@@ -217,7 +217,7 @@ class FaultPlan:
 
         Hangs block for ``hang_seconds`` of real wall-clock first —
         the evaluation is genuinely stuck, which is what per-evaluation
-        timeouts (and the process-pool kill-and-respawn path) exist
+        timeouts (the thread backend abandons the hung evaluation) exist
         for.
         """
         if decision.hang:

@@ -11,8 +11,8 @@ guarded by a lock, and every call returns its own
 :class:`~repro.storm.metrics.MeasuredRun` (immutable) rather than
 stashing it on shared state, so worker threads of an evaluation
 executor (:mod:`repro.core.executor`) can call :meth:`measure`
-simultaneously.  For process executors the objective pickles; the lock
-is recreated on unpickle.
+simultaneously.  The objective also pickles; the lock is recreated on
+unpickle.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Evaluation executors: backends, the objective contract, determinism.
 
-Covers the three backends behind :class:`~repro.core.executor.
-EvaluationExecutor` (inline serial, thread pool, process pool), the
+Covers the two backends behind :class:`~repro.core.executor.
+EvaluationExecutor` (inline serial, thread pool), the
 duck-typed objective call, and the headline guarantee of the batch
 refactor: with a loop seed, a concurrent run observes the *same*
 (config, value) set as the serial run, in any completion order.
@@ -17,11 +17,9 @@ import pytest
 
 from repro.core.executor import (
     EvaluationOutcome,
-    ProcessPoolExecutor,
     SerialExecutor,
     ThreadPoolExecutor,
     call_objective,
-    make_executor,
 )
 from repro.core.loop import TuningLoop
 from repro.experiments.presets import SYNTHETIC_BASE_CONFIG, default_cluster
@@ -107,12 +105,17 @@ class TestSerialExecutor:
             assert executor.n_pending == 0
 
     def test_forces_single_worker(self):
-        assert SerialExecutor(_plain, max_workers=8).max_workers == 1
+        executor = SerialExecutor(_plain)
+        assert executor.max_workers == 1
+        assert executor.kind == "serial"
+        with pytest.raises(TypeError):
+            SerialExecutor(_plain, max_workers=8)
 
 
 class TestThreadPoolExecutor:
     def test_collects_all_outcomes(self):
         with ThreadPoolExecutor(_plain, max_workers=4) as executor:
+            assert executor.kind == "thread"
             for i in range(6):
                 executor.submit(i, {"x": i})
             outcomes = [executor.wait_one() for _ in range(6)]
@@ -175,68 +178,12 @@ class TestThreadPoolExecutor:
             assert len(values) == 1, "same config measured differently"
 
 
-class TestProcessPoolExecutor:
-    def test_storm_objective_round_trip(self):
-        objective = _storm_objective()
-        with ProcessPoolExecutor(objective, max_workers=2) as executor:
-            executor.submit(0, {"uniform_hint": 1})
-            executor.submit(1, {"uniform_hint": 2})
-            outcomes = sorted(
-                (executor.wait_one() for _ in range(2)),
-                key=lambda o: o.eval_id,
-            )
-        assert [o.eval_id for o in outcomes] == [0, 1]
-        for outcome in outcomes:
-            assert outcome.value > 0.0
-            assert outcome.run is not None
-        # Workers hold private copies; parent-side counters untouched.
-        parent_info = objective.cache_info()
-        assert parent_info["hits"] == 0 and parent_info["misses"] == 0
-
-    def test_matches_serial_values(self):
-        serial = _storm_objective()
-        expected = {
-            hint: serial.measure({"uniform_hint": hint}).throughput_tps
-            for hint in (1, 2, 3)
-        }
-        with ProcessPoolExecutor(_storm_objective(), max_workers=2) as executor:
-            for i, hint in enumerate((1, 2, 3)):
-                executor.submit(i, {"uniform_hint": hint})
-            got = {
-                o.config["uniform_hint"]: o.value
-                for o in (executor.wait_one() for _ in range(3))
-            }
-        assert got == expected
-
-
 class TestStormObjectivePickling:
     def test_lock_survives_round_trip(self):
         objective = _storm_objective(noise=GaussianNoise(0.05), seed=3)
         clone = pickle.loads(pickle.dumps(objective))
         assert isinstance(clone._lock, type(threading.Lock()))
         assert clone.measure({"uniform_hint": 2}).throughput_tps > 0.0
-
-
-class TestMakeExecutor:
-    @pytest.mark.parametrize(
-        ("kind", "cls"),
-        [
-            ("serial", SerialExecutor),
-            ("thread", ThreadPoolExecutor),
-            ("process", ProcessPoolExecutor),
-        ],
-    )
-    def test_known_kinds(self, kind, cls):
-        executor = make_executor(kind, _plain, max_workers=2)
-        try:
-            assert isinstance(executor, cls)
-            assert executor.kind == kind
-        finally:
-            executor.close()
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor kind"):
-            make_executor("gpu", _plain)
 
 
 class TestSeedDeterminism:

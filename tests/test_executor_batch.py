@@ -12,6 +12,8 @@ set.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.executor import (
@@ -174,6 +176,25 @@ class TestThreadPoolBatchFastPath:
             assert executor.abandon(victim)
             survivor = executor.wait_one()
             assert survivor.eval_id == max(remaining)
+            assert executor.n_pending == 0
+
+    def test_failed_batch_does_not_resubmit_an_abandoned_ticket(self):
+        objective = _storm_objective()
+        release = threading.Event()
+
+        def gated_failure(params_list, *, seeds=None):
+            release.wait(5.0)
+            raise RuntimeError("vectorized path exploded")
+
+        objective.measure_batch = gated_failure
+        with ThreadPoolExecutor(objective, max_workers=2) as executor:
+            for i, h in enumerate((1, 2, 3)):
+                executor.submit(i, {"uniform_hint": h}, seed=i)
+            assert executor.try_wait_one(0.0) is None  # batch in flight
+            assert executor.abandon(1)
+            release.set()
+            outcomes = [executor.wait_one() for _ in range(2)]
+            assert {o.eval_id for o in outcomes} == {0, 2}
             assert executor.n_pending == 0
 
     def test_batch_failure_resubmits_singles_with_attribution(self):

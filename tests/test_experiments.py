@@ -158,6 +158,36 @@ class TestSyntheticStudy:
         assert results[0].metadata["size"] == "small"
         assert "Contentious" in results[0].metadata["condition"]
 
+    @pytest.mark.parametrize("strategy", ["pla", "bo"])
+    def test_thread_loop_replays_the_serial_loop(self, strategy, tmp_path):
+        """``loop_workers=2`` runs the cell on the thread backend and
+        observes exactly what the serial loop observes."""
+        from repro.core.checkpoint import canonical_history
+
+        budget = Budget(
+            steps=6, steps_extended=6, baseline_steps=6, passes=1, repeat_best=2
+        )
+
+        def run(loop_workers: int) -> list:
+            spec = SyntheticCellSpec(
+                size="small",
+                condition=CONDITIONS[0],
+                strategy=strategy,
+                budget=budget,
+                loop_workers=loop_workers,
+                batch_size=1,
+                # Both runs checkpoint, so both draw per-evaluation seeds.
+                checkpoint_dir=str(tmp_path / f"workers{loop_workers}"),
+            )
+            return run_cell(spec)
+
+        serial, threaded = run(1), run(2)
+        assert [r.metadata["executor"] for r in serial] == ["serial"]
+        assert [r.metadata["executor"] for r in threaded] == ["thread"]
+        assert [canonical_history(r.observations) for r in threaded] == [
+            canonical_history(r.observations) for r in serial
+        ]
+
     def test_unknown_strategy_rejected(self):
         spec = SyntheticCellSpec(
             size="small",

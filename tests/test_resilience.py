@@ -3,7 +3,7 @@
 Also the failure-propagation chain the robustness work guarantees:
 engine failure → ``Observation.failed`` → the loop's
 ``tuning.failed_evaluations`` counter — identically under the serial,
-thread-pool, and process-pool executors.
+and thread-pool executors.
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.executor import (
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-)
+from repro.core.executor import SerialExecutor, ThreadPoolExecutor
 from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.parameters import IntParameter, ParameterSpace
@@ -379,24 +375,6 @@ class TestTimeouts:
         assert outcome.value == 4.0
         assert ex.stats["timeouts"] == 0
 
-    def test_process_pool_kill_and_respawn(self):
-        policy = RetryPolicy(max_retries=0, timeout_seconds=0.5)
-        inner = ProcessPoolExecutor(_sleepy, max_workers=2)
-        ex = ResilientExecutor(inner, policy, seed=0)
-        try:
-            ex.submit(0, {"x": 1, "sleep": 60.0})  # wedged worker
-            ex.submit(1, {"x": 2, "sleep": 0.0})
-            outcomes = [ex.wait_one(), ex.wait_one()]
-            by_id = {o.eval_id: o for o in outcomes}
-            assert by_id[0].run.failed
-            assert by_id[0].run.failure_reason.startswith("evaluation_timeout")
-            assert by_id[1].value == 2.0
-            # The respawned pool still evaluates.
-            ex.submit(2, {"x": 3, "sleep": 0.0})
-            assert ex.wait_one().value == 3.0
-        finally:
-            ex.close()
-
 
 class TestWorkerExceptions:
     def test_exception_becomes_failure(self):
@@ -532,14 +510,12 @@ def _crashing_objective():
 class TestFailurePropagationChain:
     """engine failure → Observation.failed → loop counter, everywhere."""
 
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_chain_across_executors(self, kind):
         objective, optimizer = _crashing_objective()
         executor = None
         if kind == "thread":
             executor = ThreadPoolExecutor(objective, max_workers=2)
-        elif kind == "process":
-            executor = ProcessPoolExecutor(objective, max_workers=2)
         try:
             loop = TuningLoop(
                 objective,

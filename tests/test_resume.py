@@ -30,7 +30,12 @@ from repro.core.loop import TuningLoop
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.parameters import IntParameter, ParameterSpace
 from repro.experiments.presets import Budget
-from repro.experiments.runner import SyntheticCellSpec, SyntheticStudy, run_cell
+from repro.experiments.runner import (
+    SundogArmSpec,
+    SyntheticCellSpec,
+    SyntheticStudy,
+    run_cell,
+)
 from repro.service.campaign import StudyError, evaluation_failure_rows
 from repro.store import STORE_FILENAME, SqliteStudyStore, open_store
 from repro.topology_gen.suite import CONDITIONS
@@ -429,23 +434,35 @@ class TestStudyErrorAggregation:
         assert len(info.value.failures) == 1
 
     def test_evaluation_failure_rows(self):
+        """Rows name cells by campaign label, Sundog arms included."""
         from repro.core.history import TuningResult
+
+        def all_failed() -> list[TuningResult]:
+            return [
+                TuningResult(
+                    strategy="bo",
+                    observations=[
+                        Observation(
+                            step=0, config={}, value=0.0, failed=True,
+                            failure_reason="worker_crash: x",
+                        )
+                    ],
+                    metadata={"pass": 0},
+                )
+            ]
+
+        budget = Budget(steps=2, steps_extended=2, baseline_steps=2, passes=1)
+        failed_cell = SyntheticCellSpec(
+            strategy="bo", budget=budget, size="small", condition=CONDITIONS[0]
+        )
+        failed_arm = SundogArmSpec(strategy="bo", budget=budget, param_set="h bs bp")
+        healthy_arm = SundogArmSpec(strategy="bo", budget=budget, param_set="h")
 
         class FakeStudy:
             results = {
-                (CONDITIONS[0], "small", "bo"): [
-                    TuningResult(
-                        strategy="bo",
-                        observations=[
-                            Observation(
-                                step=0, config={}, value=0.0, failed=True,
-                                failure_reason="worker_crash: x",
-                            )
-                        ],
-                        metadata={"pass": 0},
-                    )
-                ],
-                ("bo", "h"): [
+                failed_cell.key: all_failed(),
+                failed_arm.key: all_failed(),
+                healthy_arm.key: [
                     TuningResult(
                         strategy="bo",
                         observations=[
@@ -455,10 +472,15 @@ class TestStudyErrorAggregation:
                 ],
             }
 
+            def specs(self):
+                return [failed_cell, failed_arm, healthy_arm]
+
         rows = evaluation_failure_rows(FakeStudy())
-        assert len(rows) == 1
-        assert rows[0]["cell"].endswith("/small/bo")
-        assert rows[0]["last_reason"].startswith("worker_crash")
+        assert [row["cell"] for row in rows] == [
+            f"{CONDITIONS[0].label}/small/bo",
+            "bo.h bs bp",
+        ]
+        assert all(row["last_reason"].startswith("worker_crash") for row in rows)
 
 
 @pytest.mark.slow
