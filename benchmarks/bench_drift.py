@@ -134,14 +134,14 @@ def _kill_scenario():
 
 def _run_child(checkpoint_dir: str) -> int:
     """Child entry: the to-be-killed campaign, slowed per measurement."""
-    loop = build_drift_loop(
-        _kill_scenario(),
-        "continuous",
-        BENCH_SEED,
-        checkpoint_dir=checkpoint_dir,
-        wrap_objective=lambda obj: _SlowObjective(obj, CHILD_WINDOW_SECONDS),
-    )
-    loop.run()
+    with open_store(checkpoint_dir) as store:
+        build_drift_loop(
+            _kill_scenario(),
+            "continuous",
+            BENCH_SEED,
+            store=store,
+            wrap_objective=lambda obj: _SlowObjective(obj, CHILD_WINDOW_SECONDS),
+        ).run()
     return 0
 
 
@@ -200,9 +200,10 @@ def run_kill_resume(workdir: str | None = None) -> dict:
             raise RuntimeError("timed out waiting for the kill point")
 
         scenario = _kill_scenario()
-        resumed = run_drift_scenario(
-            scenario, "continuous", BENCH_SEED, checkpoint_dir=checkpoint_dir
-        )
+        with open_store(checkpoint_dir) as store:
+            resumed = run_drift_scenario(
+                scenario, "continuous", BENCH_SEED, store=store
+            )
         reference = run_drift_scenario(scenario, "continuous", BENCH_SEED)
         identical = canonical_history(resumed.observations) == canonical_history(
             reference.observations

@@ -35,7 +35,7 @@ from repro.core.optimizer import BayesianOptimizer
 from repro.core.parameters import IntParameter, ParameterSpace
 from repro.experiments.presets import Budget
 from repro.experiments.runner import SyntheticStudy
-from repro.store import SqliteStudyStore, migrate_store, open_store
+from repro.store import StudyStore, migrate_store, open_store
 from repro.topology_gen.suite import CONDITIONS
 
 #: Full-bench study axes (the acceptance configuration).
@@ -140,9 +140,10 @@ def _kill_space() -> ParameterSpace:
 
 
 def _resume_loop(
-    db_path: str | Path | None, *, window_seconds: float = 0.0
+    store: StudyStore | None, *, window_seconds: float = 0.0
 ) -> TuningLoop:
-    """The kill bench's campaign, checkpointing into a study store.
+    """The kill bench's campaign, checkpointing into ``store`` (an open
+    handle its caller closes).
 
     ``window_seconds`` simulates a measurement window so the child
     reliably dies mid-study; it never affects the observed values,
@@ -154,10 +155,11 @@ def _resume_loop(
             return _kill_objective(params)
     else:
         objective = _kill_objective
-    slot = None
-    if db_path is not None:
-        store = open_store(Path(db_path))
-        slot = store.checkpoint_slot("bench-store", "kill", "pass0")
+    slot = (
+        None
+        if store is None
+        else store.checkpoint_slot("bench-store", "kill", "pass0")
+    )
     return TuningLoop(
         objective,
         BayesianOptimizer(_kill_space(), seed=3),
@@ -180,7 +182,7 @@ def run_kill_resume(workdir: str | Path | None = None) -> dict[str, object]:
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         try:
-            watcher = SqliteStudyStore(db)
+            watcher = StudyStore(db)
             deadline = time.time() + 120
             while time.time() < deadline:
                 loaded = watcher.load_checkpoint(
@@ -195,16 +197,16 @@ def run_kill_resume(workdir: str | Path | None = None) -> dict[str, object]:
         finally:
             proc.wait()
             watcher.close()
-        killed = SqliteStudyStore(db).load_checkpoint(
-            "bench-store", "kill", "pass0"
-        )
+        with StudyStore(db) as store:
+            killed = store.load_checkpoint("bench-store", "kill", "pass0")
         assert killed is not None, "child never wrote a checkpoint"
         assert 0 < killed.completed < RESUME_STEPS, (
             f"child finished {killed.completed} steps; the kill must land "
             f"mid-study for the bench to mean anything"
         )
         reference = _resume_loop(None).run()
-        resumed = _resume_loop(db).run()
+        with StudyStore(db) as store:
+            resumed = _resume_loop(store).run()
     identical = canonical_history(resumed.observations) == canonical_history(
         reference.observations
     )
@@ -253,7 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     add_harness_args(parser)
     args = parser.parse_args(argv)
     if args.child:
-        _resume_loop(args.child, window_seconds=0.1).run()
+        with open_store(args.child) as store:
+            _resume_loop(store, window_seconds=0.1).run()
         return 0
     migration = run_migration(smoke=args.smoke, keep_db=args.keep_db)
     resume = run_kill_resume()

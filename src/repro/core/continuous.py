@@ -25,13 +25,13 @@ either
 observations spent after a drift event before the tuner is back within
 5% of the post-drift optimum.
 
-Each epoch's inner loop checkpoints through a
-:class:`~repro.store.base.StudyStore` (run names ``epoch-NNNN``), and
-the epoch-level state — detector, incumbent, detections — lands in the
-store's ``continuous`` state document (the *sidecar*), written
-atomically at each epoch boundary.  ``checkpoint_dir=DIR`` is shorthand
-for ``store=open_store(DIR)``, i.e. the database ``DIR/store.db``.  A
-SIGKILL at any point resumes byte-identically: completed epochs reload
+Each epoch's inner loop checkpoints through an open
+:class:`~repro.store.base.StudyStore` handed in as ``store=`` (run
+names ``epoch-NNNN``), and the epoch-level state — detector,
+incumbent, detections — lands in the store's ``continuous`` state
+document (the *sidecar*), written atomically at each epoch boundary.
+The loop never opens or closes the store: its caller owns the handle.
+A SIGKILL at any point resumes byte-identically: completed epochs reload
 from their checkpoints, the partial epoch resumes exactly via the inner
 loop's optimizer snapshot, and the epoch-boundary work (monitor
 measurement, detection, re-tune) is deterministic given the sidecar
@@ -43,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.baselines import Optimizer
@@ -154,6 +153,10 @@ class ContinuousTuningLoop:
     ``initial_steps`` (default ``steps_per_epoch``) lets the first
     epoch — the only one that starts from nothing in continuous mode —
     spend a larger warm-up budget.
+
+    ``store`` (an open :class:`~repro.store.base.StudyStore`, owned and
+    closed by the caller) makes the loop resumable: epochs checkpoint
+    under ``(study, cell)``; without it the loop keeps nothing.
     """
 
     def __init__(
@@ -168,7 +171,6 @@ class ContinuousTuningLoop:
         mode: str = "continuous",
         detector: PageHinkleyDetector | None = None,
         seed: int | None = None,
-        checkpoint_dir: str | Path | None = None,
         store: "StudyStore | None" = None,
         study: str = "continuous",
         cell: str = "",
@@ -200,20 +202,9 @@ class ContinuousTuningLoop:
         self.mode = mode
         self.detector = detector if detector is not None else PageHinkleyDetector()
         self.seed = seed
-        if store is not None and checkpoint_dir is not None:
-            raise ValueError(
-                "pass either checkpoint_dir or a store, not both"
-            )
         self.study = study
         self.cell = cell
         self.store = store
-        if self.store is None and checkpoint_dir is not None:
-            # Imported lazily: the store layer sits above core, and this
-            # is the one place core reaches up — only when a caller
-            # names a store by its path.
-            from repro.store import open_store
-
-            self.store = open_store(checkpoint_dir)
         self.strategy_name = strategy_name or f"continuous-{mode}"
         self.trust_radius = float(trust_radius)
         self.mild_trust_radius = (
@@ -250,13 +241,6 @@ class ContinuousTuningLoop:
             return None
         return self.store.checkpoint_slot(
             self.study, self.cell, self._epoch_run(epoch)
-        )
-
-    def _sidecar_describe(self) -> str:
-        assert self.store is not None
-        return (
-            f"{self.store.kind}:{self.store.describe()}"
-            f"::{self.study}/{self.cell or '-'}/{STATE_NAME}"
         )
 
     # ------------------------------------------------------------------
@@ -413,8 +397,9 @@ class ContinuousTuningLoop:
         if data.get("version") != SIDECAR_VERSION:
             return 0, optimizer, None, float("-inf")
         if data.get("mode") != self.mode or data.get("seed") != self.seed:
+            sidecar = self.store.address(self.study, self.cell, STATE_NAME)
             raise ValueError(
-                f"sidecar {self._sidecar_describe()} was written by a run "
+                f"sidecar {sidecar} was written by a run "
                 f"with mode={data.get('mode')!r} seed={data.get('seed')!r}; "
                 f"this run has mode={self.mode!r} seed={self.seed!r}"
             )

@@ -503,4 +503,16 @@ class ThreadPoolExecutor(EvaluationExecutor):
         return cancelled
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        """Shut the pool down, waiting only for evaluations still owed.
+
+        An abandoned evaluation (a resilience timeout) is not waited
+        for: it may hang for as long as its fault lasts.  Its thread
+        finishes in the background and its result is discarded.
+        """
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        owed = [
+            future
+            for future, tickets in self._batch_tickets.items()
+            if not self._abandoned.intersection(t.eval_id for t in tickets)
+        ]
+        _futures.wait([*self._tickets, *owed])

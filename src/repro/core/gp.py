@@ -366,27 +366,6 @@ class GaussianProcess:
         std = np.sqrt(var_z) * self._y_std
         return mean, std
 
-    def log_predictive_density(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> np.ndarray:
-        """Per-point log density of ``y`` under the posterior at ``X``.
-
-        The Gaussian predictive includes the fitted observation noise
-        (the density of a *measurement*, not of the latent function), in
-        original y units.  The negated mean of these values over held-out
-        or one-step-ahead points is the NLPD calibration score the
-        diagnostics layer tracks (docs/OBSERVABILITY.md §diagnostics).
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y must have matching first dimension")
-        mean, std = self.predict(X)
-        var = std**2 + self.noise * self._y_std**2
-        return -0.5 * (
-            np.log(2.0 * math.pi * var) + (y - mean) ** 2 / var
-        )
-
     def log_marginal_likelihood(self) -> float:
         """LML of the standardized targets under current hyperparameters."""
         if self._posterior is None:

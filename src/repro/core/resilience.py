@@ -7,8 +7,9 @@ configurations are reliably lethal.  This module wraps any
 production tuner needs (docs/ROBUSTNESS.md):
 
 * **timeouts** — each evaluation gets a wall-clock budget; on expiry it
-  is abandoned at the backend (a hung thread is orphaned and its late
-  result discarded) and surfaces as a ``evaluation_timeout`` failure;
+  is abandoned at the backend (a hung thread is orphaned — not even
+  the executor's ``close()`` waits for it — and its late result
+  discarded) and surfaces as a ``evaluation_timeout`` failure;
 * **bounded retries with exponential backoff + jitter** — *transient*
   failures (injected crashes/hangs, timeouts, worker exceptions) are
   retried up to ``max_retries`` times under a fresh derived seed, so a

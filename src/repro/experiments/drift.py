@@ -27,6 +27,7 @@ acceptance bench; ``repro-experiments drift`` is the CLI face
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -53,6 +54,7 @@ from repro.storm.schedule import (
     WorkloadSchedule,
 )
 from repro.storm.spaces import ParallelismCodec
+from repro.store import StudyStore, open_store
 from repro.topology_gen.suite import make_topology
 
 #: Fraction of the post-drift reference optimum that counts as
@@ -152,11 +154,14 @@ def build_drift_loop(
     mode: str,
     seed: int,
     *,
-    checkpoint_dir: str | Path | None = None,
+    store: StudyStore | None = None,
     wrap_objective: Callable[[StormObjective], object] | None = None,
 ) -> ContinuousTuningLoop:
     """Assemble the continuous-tuning loop for one scenario campaign.
 
+    ``store`` (open, owned by the caller) checkpoints the campaign
+    under study ``drift``, cell ``<scenario>/<mode>``, so one database
+    holds every scenario and mode of a comparison.
     ``wrap_objective`` lets harnesses (benchmarks/bench_drift.py)
     decorate the objective — e.g. slow it down so a SIGKILL lands
     mid-epoch — without perturbing any of the seeds or loop structure
@@ -171,17 +176,6 @@ def build_drift_loop(
             codec.space, seed=opt_seed, init_points=scenario.init_points
         )
 
-    # One study store for the whole comparison (a *.db file, or
-    # DIR/store.db), campaigns keyed by (scenario, mode) cell labels.
-    store_kwargs: dict[str, object] = {}
-    if checkpoint_dir is not None:
-        from repro.store import open_store
-
-        store_kwargs = {
-            "store": open_store(checkpoint_dir),
-            "study": "drift",
-            "cell": f"{scenario.name}/{mode}",
-        }
     loop = ContinuousTuningLoop(
         objective,
         make_optimizer,
@@ -195,7 +189,9 @@ def build_drift_loop(
             threshold=scenario.detector_threshold,
         ),
         seed=seed,
-        **store_kwargs,  # type: ignore[arg-type]
+        store=store,
+        study="drift",
+        cell=f"{scenario.name}/{mode}",
         strategy_name=f"drift-{scenario.name}-{mode}",
         trust_radius=scenario.trust_radius,
         mild_trust_radius=scenario.mild_trust_radius,
@@ -210,13 +206,10 @@ def run_drift_scenario(
     mode: str,
     seed: int,
     *,
-    checkpoint_dir: str | Path | None = None,
+    store: StudyStore | None = None,
 ) -> ContinuousTuningResult:
     """One continuous-tuning campaign over ``scenario`` in ``mode``."""
-    loop = build_drift_loop(
-        scenario, mode, seed, checkpoint_dir=checkpoint_dir
-    )
-    return loop.run()
+    return build_drift_loop(scenario, mode, seed, store=store).run()
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +309,7 @@ def compare_modes(
     scenario: DriftScenario,
     seed: int,
     *,
-    checkpoint_dir: str | Path | None = None,
+    store: StudyStore | None = None,
 ) -> dict[str, object]:
     """Continuous vs. cold on one scenario, judged on shared references."""
     references = reference_optima(scenario, seed)
@@ -327,9 +320,7 @@ def compare_modes(
         "references": references,
     }
     for mode in ("continuous", "cold"):
-        result = run_drift_scenario(
-            scenario, mode, seed, checkpoint_dir=checkpoint_dir
-        )
+        result = run_drift_scenario(scenario, mode, seed, store=store)
         recovery = recovery_observations(result, scenario, references, seed)
         summary[mode] = {
             "observations": result.n_steps,
@@ -403,11 +394,16 @@ def drift_main(argv: list[str]) -> int:
     scenarios = drift_scenarios()
     names = list(scenarios) if args.profile == "all" else [args.profile]
     summaries = []
+    # One store handle for every scenario and mode of the run.
     with obs.session(
         jsonl_path=args.trace,
         progress=progress,
         manifest={"command": "drift", "argv": list(argv)},
-    ):
+    ), (
+        contextlib.nullcontext()
+        if args.resume is None
+        else open_store(args.resume)
+    ) as store:
         for name in names:
             scenario = scenarios[name]
             if args.smoke:
@@ -416,7 +412,7 @@ def drift_main(argv: list[str]) -> int:
                 )
             progress.info(f"(drift profile {name}: running both modes)")
             summaries.append(
-                compare_modes(scenario, args.seed, checkpoint_dir=args.resume)
+                compare_modes(scenario, args.seed, store=store)
             )
     rows = []
     for summary in summaries:

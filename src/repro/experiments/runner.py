@@ -19,7 +19,10 @@ figure derives from one set of runs.  Persistence — per-pass
 checkpoints, finished-cell result caches, resume — lives in
 :mod:`repro.store`; a cell's ``checkpoint_dir`` is an
 :func:`repro.store.open_store` spec (a SQLite ``*.db`` path or a
-directory holding one).
+directory holding one).  :func:`run_cell` writes through the open
+store its caller owns — the campaign runner's one handle per run, or a
+fleet worker's — and a cell run without one (a process-pool cell)
+opens and closes its own.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from repro.storm.spaces import (
     SundogParameterCodec,
     UniformHintCodec,
 )
-from repro.store import open_store
+from repro.store import StudyStore, open_store
 from repro.storm.topology import Topology
 from repro.sundog import sundog_default_config, sundog_topology
 from repro.topology_gen.suite import CONDITIONS, TopologyCondition, make_topology
@@ -348,19 +351,20 @@ class SundogArmSpec(CellSpec):
         return optimizer, codec
 
 
-def run_cell(spec: SyntheticCellSpec | SundogArmSpec) -> list[TuningResult]:
+def run_cell(
+    spec: SyntheticCellSpec | SundogArmSpec, store: StudyStore | None = None
+) -> list[TuningResult]:
     """Run all passes of one study cell (module-level for process pools).
 
-    A cell whose results are already in its store is served from there
-    without running.
+    ``store`` is an open handle its caller owns (a campaign's, or a
+    fleet worker's); without one, a cell with a ``checkpoint_dir``
+    opens its own store and closes it when done.  A cell whose results
+    are already in its store is served from there without running.
     """
-    store = None
-    if spec.checkpoint_dir:
-        # Not closed explicitly; the garbage collector releases it.
-        # Closing the last open connection checkpoints and deletes the
-        # WAL file, and the next cell's checkpoint writes then pay for
-        # growing a fresh one (~30% slower on perfbench's grid-ckpt).
-        store = open_store(spec.checkpoint_dir)
+    if store is None and spec.checkpoint_dir:
+        with open_store(spec.checkpoint_dir) as own:
+            return run_cell(spec, own)
+    if store is not None:
         cached = store.load_results(spec.study, spec.cell)
         if cached is not None:
             return cached

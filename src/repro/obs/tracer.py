@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Mapping
+from typing import Callable
 
 #: Bumped when the emitted record schema changes incompatibly.
 SCHEMA_VERSION = 1
@@ -206,8 +206,3 @@ class NoopTracer:
 
 #: Shared disabled tracer used by the default (inactive) context.
 NOOP_TRACER = NoopTracer()
-
-
-def span_records(events: list[Mapping[str, object]]) -> list[Mapping[str, object]]:
-    """Filter an event stream down to the finished-span records."""
-    return [e for e in events if e.get("type") == "span"]

@@ -25,6 +25,8 @@ see docs/STORE.md for the resume guarantees.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -39,6 +41,7 @@ from repro.experiments.presets import (
     default_budget,
 )
 from repro.obs import runtime as obs_runtime
+from repro.store import open_store
 from repro.topology_gen.suite import CONDITIONS, TopologyCondition
 
 if TYPE_CHECKING:
@@ -461,9 +464,22 @@ class CampaignRunner:
         from repro.experiments.runner import run_cell
 
         specs = self.cell_specs()
-        outcomes = run_cells(
-            self.spec.study, specs, run_cell, self.n_jobs, self.spec.budget
-        )
+        # Serial cells share one store handle for the whole run: closing
+        # the last connection checkpoints and deletes the WAL file, and
+        # every next cell's checkpoint writes would pay for growing a
+        # fresh one (~30% slower on perfbench's grid-ckpt).  Pool cells
+        # run in other processes and each open their own.
+        shared = self.spec.store if self.n_jobs == 1 else None
+        with (
+            open_store(shared) if shared else contextlib.nullcontext()
+        ) as store:
+            outcomes = run_cells(
+                self.spec.study,
+                specs,
+                functools.partial(run_cell, store=store),
+                self.n_jobs,
+                self.spec.budget,
+            )
         self.results = {s.label: o for s, o in zip(specs, outcomes)}
         return self.results
 
@@ -483,7 +499,6 @@ class CampaignRunner:
         import multiprocessing
 
         from repro.service.queue import CellQueue, QueuePolicy
-        from repro.store import open_store
 
         spec = self.spec
         specs = self.cell_specs()

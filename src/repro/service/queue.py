@@ -305,7 +305,7 @@ def run_worker(
     stop: threading.Event | None = None,
     install_sigterm: bool = False,
     cells: Sequence[CellSpec] | None = None,
-    cell_fn: Callable[[CellSpec], object] | None = None,
+    cell_fn: Callable[[CellSpec, StudyStore], object] | None = None,
 ) -> WorkerReport:
     """One worker process's whole life: claim → heartbeat → commit.
 
@@ -316,6 +316,10 @@ def run_worker(
     :func:`~repro.experiments.runner.run_cell` — the unit-test hook for
     poisoned-cell scenarios.  Leases key on each spec's store ``cell``,
     so the fenced result write and the lease land on the same cell.
+
+    The worker opens one store handle, runs every cell's checkpoint
+    and result writes through it (``cell_fn(spec, store)``), and closes
+    it on exit; only the heartbeat thread opens its own.
     """
     # Both circular at import: the campaign layer spawns these workers.
     from repro.experiments.runner import run_cell
@@ -337,125 +341,129 @@ def run_worker(
     run = cell_fn or run_cell
     by_cell = {c.cell: c for c in cells}
     study = spec.study
-    store = open_store(spec.store)
-    queue = CellQueue(store, study, list(by_cell), policy)
-    report = WorkerReport(owner=owner)
-    ctx = obs_runtime.current()
-    ctx.tracer.event(
-        "worker.start", worker=owner, study=study, n_cells=len(by_cell)
-    )
-    _count("worker.starts")
+    with open_store(spec.store) as store:
+        queue = CellQueue(store, study, list(by_cell), policy)
+        report = WorkerReport(owner=owner)
+        ctx = obs_runtime.current()
+        ctx.tracer.event(
+            "worker.start", worker=owner, study=study, n_cells=len(by_cell)
+        )
+        _count("worker.starts")
 
-    while not stop.is_set():
-        lease = queue.claim_next(owner)
-        if lease is None:
-            if not queue.pending_labels():
-                break  # campaign fully terminal
-            # Everything left is leased to live workers; wait for
-            # progress (or for an expired lease to become reclaimable).
-            stop.wait(policy.poll_interval())
-            continue
-        label = lease.cell
-        if lease.attempts > policy.max_claim_attempts:
-            reason = (
-                f"poisoned cell: claim attempt {lease.attempts} exceeds "
-                f"the bound of {policy.max_claim_attempts}"
-            )
-            if lease.reason:
-                reason += f" (last failure: {lease.reason})"
-            _quarantine(store, lease, reason, report)
-            continue
-        if store.has_results(study, label):
-            # Torn commit: results landed, the lease never committed
-            # (a worker died between the two phases).  Re-commit
-            # without re-running — the results bytes are untouched.
-            try:
-                store.commit_lease(lease)
-            except StaleLeaseError:
+        while not stop.is_set():
+            lease = queue.claim_next(owner)
+            if lease is None:
+                if not queue.pending_labels():
+                    break  # campaign fully terminal
+                # Everything left is leased to live workers; wait for
+                # progress (or for an expired lease to become reclaimable).
+                stop.wait(policy.poll_interval())
                 continue
-            report.repaired.append(label)
-            _count("worker.commits_repaired")
-            ctx.tracer.event(
-                "worker.cell_repair", worker=owner, cell=label,
-                token=lease.token,
-            )
-            continue
-        heartbeat = _Heartbeat(spec.store, lease, policy)
-        heartbeat.start()
-        ctx.tracer.event(
-            "worker.cell_start",
-            worker=owner,
-            cell=label,
-            token=lease.token,
-            attempts=lease.attempts,
-        )
-        try:
-            run(dataclasses.replace(by_cell[label], lease=(owner, lease.token)))
-        except (KeyboardInterrupt, SystemExit):
-            heartbeat.stop()
-            raise
-        except StaleLeaseError:
-            heartbeat.stop()
-            report.stale_drops.append(label)
-            _count("worker.stale_drops")
-            continue
-        except Exception as exc:  # noqa: BLE001 - classified below
-            heartbeat.stop()
-            reason = f"{type(exc).__name__}: {exc}"
-            # Classify on the bare message: the transient markers are
-            # failure-reason prefixes, not exception-type prefixes.
-            if classify_failure(str(exc)) == "persistent":
-                # No retry can fix a deterministic failure: quarantine
-                # now instead of burning the remaining claim attempts.
-                _quarantine(store, heartbeat.lease, reason, report)
-            else:
-                try:
-                    store.release_lease(heartbeat.lease, reason=reason)
-                except LeaseError:
-                    pass
-                report.released.append((label, reason))
-                _count("worker.cells_released")
-                ctx.tracer.event(
-                    "worker.cell_release",
-                    worker=owner,
-                    cell=label,
-                    error=reason,
+            label = lease.cell
+            if lease.attempts > policy.max_claim_attempts:
+                reason = (
+                    f"poisoned cell: claim attempt {lease.attempts} exceeds "
+                    f"the bound of {policy.max_claim_attempts}"
                 )
-            continue
-        heartbeat.stop()
-        if heartbeat.stale:
-            # Reclaimed mid-run: the new owner's work is authoritative.
-            report.stale_drops.append(label)
-            _count("worker.stale_drops")
-            continue
-        try:
-            store.commit_lease(heartbeat.lease)
-        except StaleLeaseError:
-            report.stale_drops.append(label)
-            _count("worker.stale_drops")
-            continue
-        report.committed.append(label)
-        _count("worker.cells_committed")
-        ctx.tracer.event(
-            "worker.cell_commit",
-            worker=owner,
-            cell=label,
-            token=heartbeat.lease.token,
-        )
+                if lease.reason:
+                    reason += f" (last failure: {lease.reason})"
+                _quarantine(store, lease, reason, report)
+                continue
+            if store.has_results(study, label):
+                # Torn commit: results landed, the lease never committed
+                # (a worker died between the two phases).  Re-commit
+                # without re-running — the results bytes are untouched.
+                try:
+                    store.commit_lease(lease)
+                except StaleLeaseError:
+                    continue
+                report.repaired.append(label)
+                _count("worker.commits_repaired")
+                ctx.tracer.event(
+                    "worker.cell_repair", worker=owner, cell=label,
+                    token=lease.token,
+                )
+                continue
+            heartbeat = _Heartbeat(spec.store, lease, policy)
+            heartbeat.start()
+            ctx.tracer.event(
+                "worker.cell_start",
+                worker=owner,
+                cell=label,
+                token=lease.token,
+                attempts=lease.attempts,
+            )
+            try:
+                run(
+                    dataclasses.replace(
+                        by_cell[label], lease=(owner, lease.token)
+                    ),
+                    store,
+                )
+            except (KeyboardInterrupt, SystemExit):
+                heartbeat.stop()
+                raise
+            except StaleLeaseError:
+                heartbeat.stop()
+                report.stale_drops.append(label)
+                _count("worker.stale_drops")
+                continue
+            except Exception as exc:  # noqa: BLE001 - classified below
+                heartbeat.stop()
+                reason = f"{type(exc).__name__}: {exc}"
+                # Classify on the bare message: the transient markers are
+                # failure-reason prefixes, not exception-type prefixes.
+                if classify_failure(str(exc)) == "persistent":
+                    # No retry can fix a deterministic failure: quarantine
+                    # now instead of burning the remaining claim attempts.
+                    _quarantine(store, heartbeat.lease, reason, report)
+                else:
+                    try:
+                        store.release_lease(heartbeat.lease, reason=reason)
+                    except LeaseError:
+                        pass
+                    report.released.append((label, reason))
+                    _count("worker.cells_released")
+                    ctx.tracer.event(
+                        "worker.cell_release",
+                        worker=owner,
+                        cell=label,
+                        error=reason,
+                    )
+                continue
+            heartbeat.stop()
+            if heartbeat.stale:
+                # Reclaimed mid-run: the new owner's work is authoritative.
+                report.stale_drops.append(label)
+                _count("worker.stale_drops")
+                continue
+            try:
+                store.commit_lease(heartbeat.lease)
+            except StaleLeaseError:
+                report.stale_drops.append(label)
+                _count("worker.stale_drops")
+                continue
+            report.committed.append(label)
+            _count("worker.cells_committed")
+            ctx.tracer.event(
+                "worker.cell_commit",
+                worker=owner,
+                cell=label,
+                token=heartbeat.lease.token,
+            )
 
-    report.drained = stop.is_set()
-    if report.drained:
-        _count("worker.drains")
-    ctx.tracer.event(
-        "worker.exit",
-        worker=owner,
-        committed=len(report.committed),
-        repaired=len(report.repaired),
-        released=len(report.released),
-        quarantined=len(report.quarantined),
-        drained=report.drained,
-    )
-    store.close()
+        report.drained = stop.is_set()
+        if report.drained:
+            _count("worker.drains")
+        ctx.tracer.event(
+            "worker.exit",
+            worker=owner,
+            committed=len(report.committed),
+            repaired=len(report.repaired),
+            released=len(report.released),
+            quarantined=len(report.quarantined),
+            drained=report.drained,
+        )
     return report
 
 

@@ -1,17 +1,20 @@
 """Study-store persistence layer (docs/STORE.md).
 
-One interface over one stdlib ``sqlite3`` database::
+One class over one stdlib ``sqlite3`` database::
 
     from repro.store import open_store
 
-    store = open_store("campaign.db")    # the database file itself
-    store = open_store("ckpts")          # directory -> ckpts/store.db
+    with open_store("campaign.db") as store:   # the database file itself
+        ...
+    with open_store("ckpts") as store:         # directory -> ckpts/store.db
+        ...
 
 Everything the tuning stack persists — run checkpoints, finished-cell
 results, continuous-tuning epoch state, fleet leases — flows through a
 :class:`~repro.store.base.StudyStore`, so the loop and the experiment
 runner never touch files; campaign databases merge with
-:func:`~repro.store.migrate.migrate_store`.
+:func:`~repro.store.migrate.migrate_store`.  Whoever opens a store
+closes it, and passes the open handle down to what it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from repro.store.base import (
     StudyStore,
 )
 from repro.store.migrate import MigrationReport, migrate_store
-from repro.store.sqlite import SqliteStudyStore
 
 #: Path suffixes that name the database file itself in :func:`open_store`.
 SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
@@ -40,23 +42,22 @@ STORE_FILENAME = "store.db"
 _LEGACY_PATTERNS = ("store-index.json", "*.jsonl", "*.done.json")
 
 
-def open_store(spec: str | Path | StudyStore) -> StudyStore:
-    """A store for ``spec``: a :class:`StudyStore` passes through, a
-    path ending in ``.db``/``.sqlite``/``.sqlite3`` is the database
-    file, and any other path is a directory holding ``store.db``
-    (created on open) — so ``--resume DIR`` and ``checkpoint_dir=DIR``
-    call sites name a directory exactly as before.
+def open_store(spec: str | Path) -> StudyStore:
+    """Open a new store handle for ``spec``, which the caller owns and
+    closes: a path ending in ``.db``/``.sqlite``/``.sqlite3`` is the
+    database file, and any other path is a directory holding
+    ``store.db`` (created on open) — so ``--resume DIR`` and
+    ``checkpoint_dir=DIR`` call sites name a directory exactly as
+    before.
 
     A directory left by the retired JSONL backend (its index or
     ``*.jsonl``/``*.done.json`` documents, no ``store.db``) raises
     :class:`SchemaVersionError` instead of silently opening an empty
     database and re-running the campaign.
     """
-    if isinstance(spec, StudyStore):
-        return spec
     path = Path(spec)
     if path.suffix.lower() in SQLITE_SUFFIXES:
-        return SqliteStudyStore(path)
+        return StudyStore(path)
     database = path / STORE_FILENAME
     if path.is_dir() and not database.exists():
         for pattern in _LEGACY_PATTERNS:
@@ -66,7 +67,7 @@ def open_store(spec: str | Path | StudyStore) -> StudyStore:
                     f"({pattern}); JSONL stores are no longer readable — "
                     f"this build reads only SQLite stores ({database})"
                 )
-    return SqliteStudyStore(database)
+    return StudyStore(database)
 
 
 __all__ = [
@@ -75,7 +76,6 @@ __all__ = [
     "MigrationReport",
     "SchemaVersionError",
     "StaleLeaseError",
-    "SqliteStudyStore",
     "StoreCheckpointSlot",
     "StoreError",
     "StudyStore",

@@ -13,17 +13,12 @@ from __future__ import annotations
 import argparse
 
 from repro import obs
+from repro.store import migrate_store, open_store
 from repro.store.base import SchemaVersionError, StoreError, StudyStore
 
 
-def _open(spec: str) -> StudyStore:
-    from repro.store import open_store
-
-    return open_store(spec)
-
-
 def _ls(store: StudyStore, sink: obs.ProgressSink) -> int:
-    sink.result(f"store {store.kind}:{store.describe()} "
+    sink.result(f"store {store.describe()} "
                 f"(schema version {store.schema_version()})")
     studies = store.studies()
     if not studies:
@@ -73,25 +68,23 @@ def store_main(argv: list[str]) -> int:
 
     try:
         if args.command == "ls":
-            with _open(args.store) as store:
+            with open_store(args.store) as store:
                 return _ls(store, sink)
         if args.command == "migrate":
-            from repro.store.migrate import migrate_store
-
-            with _open(args.src) as src, _open(args.dst) as dst:
+            with open_store(args.src) as src, open_store(args.dst) as dst:
                 report = migrate_store(src, dst)
                 parts = ", ".join(
                     f"{v} {k}" for k, v in report.as_dict().items()
                 )
                 sink.result(
-                    f"migrated {src.kind}:{src.describe()} -> "
-                    f"{dst.kind}:{dst.describe()} ({parts})"
+                    f"migrated {src.describe()} -> "
+                    f"{dst.describe()} ({parts})"
                 )
             return 0
         if args.command == "vacuum":
-            with _open(args.store) as store:
+            with open_store(args.store) as store:
                 store.vacuum()
-                sink.result(f"vacuumed {store.kind}:{store.describe()}")
+                sink.result(f"vacuumed {store.describe()}")
             return 0
     except SchemaVersionError as exc:
         sink.result(f"SCHEMA VERSION MISMATCH: {exc}")

@@ -91,9 +91,6 @@ class LocalRunResult:
     def measured_selectivities(self) -> dict[str, float]:
         return {name: s.selectivity for name, s in self.stats.items()}
 
-    def total_emitted(self) -> int:
-        return sum(s.emitted for s in self.stats.values())
-
 
 def _default_bolt_logic(selectivity: float) -> BoltLogic:
     """Pass-through logic emitting ``selectivity`` copies in expectation.

@@ -415,9 +415,5 @@ class StormObjective:
             hits / total if total else 0.0
         )
 
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
-
     def __call__(self, params: Mapping[str, object]) -> float:
         return self.measure(params).throughput_tps

@@ -140,18 +140,6 @@ class _Machine:
             virtual += rate * (now - self.last_update)
         return now + max(0.0, self.active[0][0] - virtual) / rate
 
-    def pop_completed(self, now: float) -> int | None:
-        """Drain one due job, returning its ``job_id`` (or ``None``)."""
-        if not self.active:
-            return None
-        self.advance_to(now)
-        target, job_id = self.active[0]
-        if target <= self.virtual + 1e-9:
-            heapq.heappop(self.active)
-            self.n_active -= 1
-            return job_id
-        return None
-
 
 @dataclass
 class _BatchState:

@@ -10,6 +10,7 @@ crash-and-resume determinism across a drift event.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -39,6 +40,7 @@ from repro.storm.schedule import (
     WorkloadPoint,
 )
 from repro.storm.spaces import ParallelismCodec
+from repro.store import open_store
 from repro.topology_gen.suite import make_topology
 
 
@@ -370,6 +372,14 @@ def _loop(objective, *, mode="continuous", epochs=4, seed=5, **kwargs):
     )
 
 
+@pytest.fixture
+def stores(tmp_path):
+    """``stores(name)`` opens ``tmp_path/name/store.db``; every handle
+    closes at teardown."""
+    with contextlib.ExitStack() as stack:
+        yield lambda name: stack.enter_context(open_store(tmp_path / name))
+
+
 class TestContinuousTuningLoop:
     def test_detects_the_drop_and_retunes(self):
         result = _loop(DriftingParabola(drop_at_s=1_000.0)).run()
@@ -410,28 +420,20 @@ class TestContinuousTuningLoop:
         with pytest.raises(ValueError):
             _loop(DriftingParabola(), mode="lukewarm")
 
-    def test_epoch_boundary_resume_is_byte_identical(self, tmp_path):
-        full = _loop(
-            DriftingParabola(), checkpoint_dir=tmp_path / "a"
-        ).run()
-        _loop(
-            DriftingParabola(), epochs=2, checkpoint_dir=tmp_path / "b"
-        ).run()
-        resumed = _loop(
-            DriftingParabola(), checkpoint_dir=tmp_path / "b"
-        ).run()
+    def test_epoch_boundary_resume_is_byte_identical(self, stores):
+        full = _loop(DriftingParabola(), store=stores("a")).run()
+        _loop(DriftingParabola(), epochs=2, store=stores("b")).run()
+        resumed = _loop(DriftingParabola(), store=stores("b")).run()
         assert resumed.metadata["resumed_epochs"] == 2
         assert canonical_history(resumed.observations) == canonical_history(
             full.observations
         )
         assert resumed.detections == full.detections
 
-    def test_mid_epoch_crash_resume_is_byte_identical(self, tmp_path):
+    def test_mid_epoch_crash_resume_is_byte_identical(self, stores):
         """A crash *after* the drift detection, mid-epoch, resumes
         exactly — the drift-path determinism acceptance criterion."""
-        full = _loop(
-            DriftingParabola(), checkpoint_dir=tmp_path / "a"
-        ).run()
+        full = _loop(DriftingParabola(), store=stores("a")).run()
 
         class Crashing(DriftingParabola):
             def __init__(self):
@@ -448,32 +450,27 @@ class TestContinuousTuningLoop:
                 return super().__call__(params)
 
         with pytest.raises(RuntimeError, match="injected"):
-            _loop(Crashing(), checkpoint_dir=tmp_path / "b").run()
-        resumed = _loop(
-            DriftingParabola(), checkpoint_dir=tmp_path / "b"
-        ).run()
+            _loop(Crashing(), store=stores("b")).run()
+        resumed = _loop(DriftingParabola(), store=stores("b")).run()
         assert canonical_history(resumed.observations) == canonical_history(
             full.observations
         )
         assert resumed.detections == full.detections
 
-    def test_sidecar_mode_mismatch_raises(self, tmp_path):
-        _loop(DriftingParabola(), checkpoint_dir=tmp_path).run()
+    def test_sidecar_mode_mismatch_raises(self, stores):
+        store = stores("s")
+        _loop(DriftingParabola(), store=store).run()
         with pytest.raises(ValueError, match="mode"):
-            _loop(
-                DriftingParabola(), mode="cold", checkpoint_dir=tmp_path
-            ).run()
+            _loop(DriftingParabola(), mode="cold", store=store).run()
 
-    def test_sidecar_version_mismatch_starts_fresh(self, tmp_path):
-        from repro.store import open_store
-
-        _loop(DriftingParabola(), epochs=2, checkpoint_dir=tmp_path).run()
-        with open_store(tmp_path) as store:
-            data = store.load_state("continuous", "", STATE_NAME)
-            assert data["version"] == SIDECAR_VERSION
-            data["version"] = 99
-            store.save_state("continuous", "", STATE_NAME, data)
-        resumed = _loop(DriftingParabola(), checkpoint_dir=tmp_path).run()
+    def test_sidecar_version_mismatch_starts_fresh(self, stores):
+        store = stores("s")
+        _loop(DriftingParabola(), epochs=2, store=store).run()
+        data = store.load_state("continuous", "", STATE_NAME)
+        assert data["version"] == SIDECAR_VERSION
+        data["version"] = 99
+        store.save_state("continuous", "", STATE_NAME, data)
+        resumed = _loop(DriftingParabola(), store=store).run()
         assert resumed.metadata["resumed_epochs"] == 0
 
     def test_sticky_incumbent_ignores_own_improvements(self):

@@ -19,10 +19,14 @@ import pytest
 
 from repro.core.history import Observation, TuningResult
 from repro.experiments.presets import Budget
-from repro.experiments.runner import SundogArmSpec, SyntheticCellSpec
+from repro.experiments.runner import (
+    SundogArmSpec,
+    SyntheticCellSpec,
+    run_cell,
+)
 from repro.service.campaign import CampaignSpec
 from repro.service.queue import CellQueue, QueuePolicy, WorkerReport, run_worker
-from repro.store import Lease, SqliteStudyStore, StaleLeaseError, open_store
+from repro.store import Lease, StaleLeaseError, StudyStore, open_store
 from repro.topology_gen.suite import CONDITIONS
 
 STUDY = "synthetic"
@@ -31,7 +35,7 @@ STUDY = "synthetic"
 # One param: it only keeps the suite's ``[sqlite]`` test ids stable.
 @pytest.fixture(params=["sqlite"])
 def store(tmp_path):
-    with SqliteStudyStore(tmp_path / "store.db") as backend:
+    with StudyStore(tmp_path / "store.db") as backend:
         yield backend
 
 
@@ -228,28 +232,28 @@ def _worker_spec(store_spec, **kwargs) -> CampaignSpec:
     )
 
 
-def _make_cell_fn(store_spec, calls, failures=None):
-    """A cell function that saves one fenced result per invocation."""
+def _make_cell_fn(calls, failures=None):
+    """A cell function that saves one fenced result per invocation
+    through the worker's store handle."""
 
-    def cell_fn(cell):
+    def cell_fn(cell, store):
         calls.append(cell.label)
         exc = (failures or {}).get(cell.label)
         if exc is not None:
             raise exc
         owner, token = cell.lease
-        with open_store(str(store_spec)) as cell_store:
-            cell_store.save_results_fenced(
-                STUDY, cell.label, _results(), owner=owner, token=token
-            )
+        store.save_results_fenced(
+            STUDY, cell.label, _results(), owner=owner, token=token
+        )
 
     return cell_fn
 
 
-def _cells(store_spec, labels, calls, failures=None):
+def _cells(labels, calls, failures=None):
     """``run_worker`` keyword overrides: the cells and their cell function."""
     return {
         "cells": [_CellSpec(label) for label in labels],
-        "cell_fn": _make_cell_fn(store_spec, calls, failures),
+        "cell_fn": _make_cell_fn(calls, failures),
     }
 
 
@@ -258,7 +262,7 @@ class TestRunWorker:
         db = tmp_path / "q.db"
         calls: list[str] = []
         report = run_worker(
-            _worker_spec(db), "w1", **_cells(db, ["a", "b"], calls)
+            _worker_spec(db), "w1", **_cells(["a", "b"], calls)
         )
         assert sorted(report.committed) == ["a", "b"]
         assert report.clean and not report.drained
@@ -279,7 +283,7 @@ class TestRunWorker:
             )
         calls: list[str] = []
         report = run_worker(
-            _worker_spec(db), "w2", **_cells(db, ["a"], calls)
+            _worker_spec(db), "w2", **_cells(["a"], calls)
         )
         assert report.repaired == ["a"]
         assert calls == []  # never re-run
@@ -293,7 +297,7 @@ class TestRunWorker:
         report = run_worker(
             _worker_spec(db), "w1",
             **_cells(
-                db, ["a", "b"], calls,
+                ["a", "b"], calls,
                 failures={"a": ValueError("bad geometry")},
             ),
         )
@@ -314,7 +318,7 @@ class TestRunWorker:
         report = run_worker(
             spec, "w1",
             **_cells(
-                db, ["a"], calls,
+                ["a"], calls,
                 failures={"a": RuntimeError("worker_crash: injected")},
             ),
         )
@@ -330,10 +334,10 @@ class TestRunWorker:
         stop = threading.Event()
         calls: list[str] = []
         specs = [_CellSpec(label) for label in ["a", "b"]]
-        inner = _make_cell_fn(db, calls)
+        inner = _make_cell_fn(calls)
 
-        def draining_cell_fn(cell):
-            inner(cell)
+        def draining_cell_fn(cell, store):
+            inner(cell, store)
             stop.set()  # SIGTERM arrives while "a" is running
 
         report = run_worker(
@@ -361,13 +365,13 @@ class TestRunWorker:
         ttl = 0.5
         spec = _worker_spec(store_spec, lease_ttl_seconds=ttl)
         calls: list[str] = []
-        inner = _make_cell_fn(store_spec, calls)
+        inner = _make_cell_fn(calls)
         started = threading.Event()
 
-        def slow_cell_fn(cell):
+        def slow_cell_fn(cell, store):
             started.set()
             time.sleep(2.5 * ttl)  # only heartbeats keep the lease alive
-            inner(cell)
+            inner(cell, store)
 
         specs = [_CellSpec("a")]
         result: dict[str, WorkerReport] = {}
@@ -401,6 +405,58 @@ class TestRunWorker:
             assert (lease.status, lease.owner) == ("committed", "w1")
             assert lease.attempts == 1  # never reclaimed
 
+    def test_cells_write_through_the_worker_handle(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker opens one store and runs every checkpoint and
+        result write of its cells through it."""
+        db = tmp_path / "q.db"
+        opened: list[StudyStore] = []
+        writers: list[StudyStore] = []
+        init = StudyStore.__init__
+
+        def recording_init(self, path):
+            # The heartbeat thread's own handle is not the worker's.
+            if not threading.current_thread().name.startswith("lease-"):
+                opened.append(self)
+            init(self, path)
+
+        monkeypatch.setattr(StudyStore, "__init__", recording_init)
+        for name in ("save_checkpoint", "save_results_fenced"):
+
+            def recording(self, *args, _write=getattr(StudyStore, name), **kw):
+                writers.append(self)
+                return _write(self, *args, **kw)
+
+            monkeypatch.setattr(StudyStore, name, recording)
+        budget = Budget(
+            steps=3, steps_extended=3, baseline_steps=3, passes=1,
+            repeat_best=2,
+        )
+        cells = [
+            SyntheticCellSpec(
+                size="small", condition=CONDITIONS[0], strategy=strategy,
+                budget=budget, checkpoint_dir=str(db),
+            )
+            for strategy in ("pla", "ipla")
+        ]
+        handed: list[StudyStore] = []
+
+        def cell_fn(cell, store):
+            handed.append(store)
+            return run_cell(cell, store)
+
+        report = run_worker(
+            _worker_spec(db), "w1", cells=cells, cell_fn=cell_fn
+        )
+        assert sorted(report.committed) == sorted(c.cell for c in cells)
+        (worker_store,) = opened
+        assert handed == [worker_store, worker_store]
+        # Per-step checkpoints of both cells plus their two fenced
+        # result writes, all on the worker's handle.
+        assert len(writers) > 2
+        assert all(writer is worker_store for writer in writers)
+
     def test_two_workers_split_the_cells(self, tmp_path):
         db = tmp_path / "q.db"
         labels = [f"cell{i}" for i in range(6)]
@@ -412,7 +468,7 @@ class TestRunWorker:
         def drive(owner):
             try:
                 reports[owner] = run_worker(
-                    spec, owner, **_cells(db, labels, calls)
+                    spec, owner, **_cells(labels, calls)
                 )
             except Exception as exc:  # noqa: BLE001 - asserted below
                 errors.append(exc)

@@ -330,7 +330,7 @@ class TestControlFlowExceptions:
             cell: str
             lease: tuple | None = None
 
-        def interrupting_cell(cell):
+        def interrupting_cell(cell, store):
             raise exc_type()
 
         spec = CampaignSpec(
@@ -358,6 +358,22 @@ class TestTimeouts:
             assert ex.stats["timeouts"] == 1
         finally:
             ex.close()
+
+    def test_close_does_not_wait_for_an_abandoned_evaluation(self):
+        # The abandoned evaluation keeps sleeping on its worker thread;
+        # close() must return well before it wakes.  (Short sleep: the
+        # interpreter still joins the thread at exit.)
+        policy = RetryPolicy(max_retries=0, timeout_seconds=0.1)
+        ex = ResilientExecutor(
+            ThreadPoolExecutor(_sleepy, max_workers=2), policy, seed=0
+        )
+        ex.submit(0, {"x": 1, "sleep": 1.0})
+        assert ex.wait_one().run.failure_reason.startswith(
+            "evaluation_timeout"
+        )
+        t0 = time.perf_counter()
+        ex.close()
+        assert time.perf_counter() - t0 < 0.5
 
     def test_serial_post_hoc_timeout(self):
         policy = RetryPolicy(max_retries=0, timeout_seconds=0.01)

@@ -9,6 +9,7 @@ to the uninterrupted run.
 from __future__ import annotations
 
 import os
+import sqlite3
 import stat
 import subprocess
 import sys
@@ -37,7 +38,7 @@ from repro.experiments.runner import (
     run_cell,
 )
 from repro.service.campaign import StudyError, evaluation_failure_rows
-from repro.store import STORE_FILENAME, SqliteStudyStore, open_store
+from repro.store import STORE_FILENAME, StudyStore, open_store
 from repro.topology_gen.suite import CONDITIONS
 
 
@@ -97,13 +98,13 @@ class TestCheckpointFile:
 
 def _load(db):
     """The checkpoint a test loop saved into the store at ``db``."""
-    with SqliteStudyStore(db) as store:
+    with StudyStore(db) as store:
         return store.load_checkpoint("resume", "cell", "pass0")
 
 
 def _loop(objective, optimizer, db, **kwargs):
     """A loop checkpointing to ``db``; runs it and closes the store."""
-    with SqliteStudyStore(db) as store:
+    with StudyStore(db) as store:
         return TuningLoop(
             objective,
             optimizer,
@@ -183,7 +184,7 @@ class TestKillMidRun:
                 from repro.core.loop import TuningLoop
                 from repro.core.optimizer import BayesianOptimizer
                 from repro.core.parameters import IntParameter, ParameterSpace
-                from repro.store import SqliteStudyStore
+                from repro.store import StudyStore
 
                 def objective(params):
                     time.sleep(0.1)  # slow enough to die mid-run
@@ -191,7 +192,7 @@ class TestKillMidRun:
 
                 space = ParameterSpace([IntParameter("x", 1, 32)])
                 opt = BayesianOptimizer(space, seed=3)
-                store = SqliteStudyStore(sys.argv[1])
+                store = StudyStore(sys.argv[1])
                 TuningLoop(
                     objective, opt, max_steps=16, seed=11,
                     checkpoint=store.checkpoint_slot("resume", "cell", "pass0"),
@@ -199,7 +200,7 @@ class TestKillMidRun:
                 """
             )
         )
-        SqliteStudyStore(db).close()  # create the schema before polling
+        StudyStore(db).close()  # create the schema before polling
         proc = subprocess.Popen(
             [sys.executable, str(script), str(db)],
             cwd=_REPO_ROOT,
@@ -259,7 +260,7 @@ class _DriftingParabola:
         return scale * (1.0 - (x - 0.5) ** 2 - (y - 0.5) ** 2)
 
 
-def _drift_loop(objective, checkpoint_dir):
+def _drift_loop(objective, store):
     space = ParameterSpace(
         [IntParameter("x", 0, 100), IntParameter("y", 0, 100)]
     )
@@ -272,7 +273,7 @@ def _drift_loop(objective, checkpoint_dir):
         initial_steps=6,
         mode="continuous",
         seed=5,
-        checkpoint_dir=checkpoint_dir,
+        store=store,
     )
 
 
@@ -293,6 +294,7 @@ class TestKillMidDrift:
                 from repro.core.continuous import ContinuousTuningLoop
                 from repro.core.optimizer import BayesianOptimizer
                 from repro.core.parameters import IntParameter, ParameterSpace
+                from repro.store import open_store
 
                 class DriftingParabola:
                     def __init__(self):
@@ -309,13 +311,16 @@ class TestKillMidDrift:
                 space = ParameterSpace(
                     [IntParameter("x", 0, 100), IntParameter("y", 0, 100)]
                 )
-                ContinuousTuningLoop(
-                    DriftingParabola(),
-                    lambda seed: BayesianOptimizer(space, seed=seed, init_points=3),
-                    epochs=4, epoch_duration_s=600.0, steps_per_epoch=4,
-                    initial_steps=6, mode="continuous", seed=5,
-                    checkpoint_dir=sys.argv[1],
-                ).run()
+                with open_store(sys.argv[1]) as store:
+                    ContinuousTuningLoop(
+                        DriftingParabola(),
+                        lambda seed: BayesianOptimizer(
+                            space, seed=seed, init_points=3
+                        ),
+                        epochs=4, epoch_duration_s=600.0, steps_per_epoch=4,
+                        initial_steps=6, mode="continuous", seed=5,
+                        store=store,
+                    ).run()
                 """
             )
         )
@@ -356,7 +361,8 @@ class TestKillMidDrift:
         assert killed_mid_run, "child died mid-epoch past its detection"
 
         reference = _drift_loop(_DriftingParabola(), None).run()
-        resumed = _drift_loop(_DriftingParabola(), ckpt_dir).run()
+        with open_store(ckpt_dir) as store:
+            resumed = _drift_loop(_DriftingParabola(), store).run()
         assert resumed.metadata["resumed_epochs"] >= 3
         assert resumed.detections == reference.detections
         assert canonical_history(resumed.observations) == canonical_history(
@@ -397,6 +403,32 @@ class TestStudyCheckpointing:
             first[0].observations, again[0].observations
         )
         assert again[0].metadata["pass"] == 0
+
+    def test_serial_study_opens_its_store_once_and_closes_it(
+        self, tmp_path, monkeypatch
+    ):
+        opened: list[StudyStore] = []
+        init = StudyStore.__init__
+
+        def recording_init(self, path):
+            opened.append(self)
+            init(self, path)
+
+        monkeypatch.setattr(StudyStore, "__init__", recording_init)
+        study = SyntheticStudy(
+            _tiny_budget(),
+            conditions=[CONDITIONS[0]],
+            sizes=["small"],
+            strategies=["pla", "ipla"],
+            checkpoint_dir=str(tmp_path),
+        ).run()
+        assert len(study.results) == 2
+        (store,) = opened  # one handle for both cells
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            store._conn.execute("SELECT 1")
+        # Closing the last connection checkpointed and removed the WAL.
+        assert (tmp_path / STORE_FILENAME).is_file()
+        assert not (tmp_path / f"{STORE_FILENAME}-wal").exists()
 
     def test_study_plumbs_checkpoint_dir(self, tmp_path):
         study = SyntheticStudy(

@@ -28,11 +28,11 @@ from repro.core.parameters import IntParameter, ParameterSpace
 from repro.store import (
     STORE_FILENAME,
     SchemaVersionError,
-    SqliteStudyStore,
+    StudyStore,
     migrate_store,
     open_store,
 )
-from repro.store.sqlite import MIGRATIONS, SCHEMA_VERSION
+from repro.store.base import MIGRATIONS, SCHEMA_VERSION
 
 
 def _objective(params):
@@ -70,7 +70,7 @@ def _results():
 # One param: it only keeps the suite's ``[sqlite]`` test ids stable.
 @pytest.fixture(params=["sqlite"])
 def store(tmp_path):
-    with SqliteStudyStore(tmp_path / "store.db") as backend:
+    with StudyStore(tmp_path / "store.db") as backend:
         yield backend
 
 
@@ -188,7 +188,7 @@ class TestLabelCollisions:
 
 class TestSqliteBackend:
     def test_schema_version_is_current_after_open(self, tmp_path):
-        with SqliteStudyStore(tmp_path / "s.db") as store:
+        with StudyStore(tmp_path / "s.db") as store:
             assert store.schema_version() == SCHEMA_VERSION
 
     def test_future_schema_version_is_refused(self, tmp_path):
@@ -204,7 +204,7 @@ class TestSqliteBackend:
             )
         conn.close()
         with pytest.raises(SchemaVersionError, match="refusing"):
-            SqliteStudyStore(path)
+            StudyStore(path)
 
     def test_migration_runner_upgrades_old_databases(self, tmp_path):
         # Build a database as a v1-era build would have left it, then
@@ -219,7 +219,7 @@ class TestSqliteBackend:
                 conn.execute(statement)
             conn.execute("INSERT INTO schema_version (version) VALUES (1)")
         conn.close()
-        with SqliteStudyStore(path) as store:
+        with StudyStore(path) as store:
             assert store.schema_version() == SCHEMA_VERSION
             store.save_checkpoint("s", "c", "r", _checkpoint())
             assert store.load_checkpoint("s", "c", "r").completed == 3
@@ -232,7 +232,7 @@ class TestSqliteBackend:
         def open_store_once(path, barrier):
             barrier.wait(timeout=10)
             try:
-                with SqliteStudyStore(path) as store:
+                with StudyStore(path) as store:
                     assert store.schema_version() == SCHEMA_VERSION
             except Exception as exc:  # collected for the assertion below
                 errors.append(exc)
@@ -254,7 +254,7 @@ class TestSqliteBackend:
 
     def test_malformed_row_warning_names_the_rowid(self, tmp_path):
         path = tmp_path / "s.db"
-        store = SqliteStudyStore(path)
+        store = StudyStore(path)
         store.save_checkpoint("s", "c", "r", _checkpoint(3))
         conn = sqlite3.connect(path)
         row = conn.execute(
@@ -277,8 +277,8 @@ class TestSqliteBackend:
 
     def test_two_connections_share_one_database(self, tmp_path):
         path = tmp_path / "shared.db"
-        writer = SqliteStudyStore(path)
-        reader = SqliteStudyStore(path)
+        writer = StudyStore(path)
+        reader = StudyStore(path)
         writer.save_checkpoint("s", "c", "r", _checkpoint(4))
         assert reader.load_checkpoint("s", "c", "r").completed == 4
         writer.close()
@@ -290,7 +290,7 @@ class TestSqliteBusyRetry:
     OperationalError (the multi-worker fleet hammers one .db)."""
 
     def _store(self, tmp_path):
-        store = SqliteStudyStore(tmp_path / "busy.db")
+        store = StudyStore(tmp_path / "busy.db")
         store._jitter.seed(0)
         return store
 
@@ -316,7 +316,7 @@ class TestSqliteBusyRetry:
 
     def test_busy_exhaustion_raises_store_error(self, tmp_path):
         from repro.store import StoreError
-        from repro.store.sqlite import _BUSY_RETRIES
+        from repro.store.base import _BUSY_RETRIES
 
         store = self._store(tmp_path)
         store._sleep = lambda _s: None
@@ -351,12 +351,12 @@ class TestSqliteBusyRetry:
         import threading
 
         path = tmp_path / "hammer.db"
-        SqliteStudyStore(path).close()  # migrate once up front
+        StudyStore(path).close()  # migrate once up front
         errors = []
         rounds = 25
 
         def hammer(worker):
-            store = SqliteStudyStore(path)
+            store = StudyStore(path)
             try:
                 for i in range(rounds):
                     cell = f"w{worker}-c{i}"
@@ -377,7 +377,7 @@ class TestSqliteBusyRetry:
         for t in threads:
             t.join()
         assert errors == []
-        with SqliteStudyStore(path) as store:
+        with StudyStore(path) as store:
             cells = store.cells("s")
             assert len(cells) == 2 * rounds
             assert all(store.has_results("s", cell) for cell in cells)
@@ -398,7 +398,7 @@ class TestSqliteBusyRetry:
         release = threading.Timer(0.3, lambda: holder.execute("COMMIT"))
         release.start()
         try:
-            store = SqliteStudyStore(path)
+            store = StudyStore(path)
         finally:
             release.join()
             holder.close()
@@ -410,15 +410,11 @@ class TestOpenStore:
     def test_routing_by_suffix(self, tmp_path):
         for name in ("x.db", "x.sqlite3"):
             with open_store(tmp_path / name) as store:
-                assert isinstance(store, SqliteStudyStore)
+                assert isinstance(store, StudyStore)
                 assert store.path == tmp_path / name
         with open_store(tmp_path / "ckpts") as store:
-            assert isinstance(store, SqliteStudyStore)
+            assert isinstance(store, StudyStore)
             assert store.path == tmp_path / "ckpts" / STORE_FILENAME
-
-    def test_store_passes_through(self, tmp_path):
-        with SqliteStudyStore(tmp_path / "s.db") as store:
-            assert open_store(store) is store
 
     def test_directory_spec_creates_store_db_and_resumes(
         self, tmp_path, monkeypatch
@@ -492,7 +488,7 @@ class TestMigration:
     def test_round_trip_is_byte_identical_for_a_seeded_bo_run(self, tmp_path):
         """Migrating a store twice (file → file → directory spelling)
         preserves a seeded 30-step BO run's history byte-for-byte."""
-        source = SqliteStudyStore(tmp_path / "src.db")
+        source = StudyStore(tmp_path / "src.db")
         slot = source.checkpoint_slot("synthetic", "cell/a", "pass0")
         result = TuningLoop(
             _objective,
@@ -504,7 +500,7 @@ class TestMigration:
         source.save_results("synthetic", "cell/a", [result])
         source.save_state("synthetic", "cell/a", "notes", {"k": 1})
 
-        db = SqliteStudyStore(tmp_path / "mid.db")
+        db = StudyStore(tmp_path / "mid.db")
         report = migrate_store(source, db)
         assert report.checkpoints == 1
         assert report.observations == 30
@@ -540,9 +536,9 @@ class TestMigration:
                 checkpoint=slot,
             ).run()
 
-        full_store = SqliteStudyStore(tmp_path / "full.db")
+        full_store = StudyStore(tmp_path / "full.db")
         full = run(30, full_store.checkpoint_slot("s", "c", "r"))
-        cut_store = SqliteStudyStore(tmp_path / "cut.db")
+        cut_store = StudyStore(tmp_path / "cut.db")
         run(15, cut_store.checkpoint_slot("s", "c", "r"))
         resumed = run(30, cut_store.checkpoint_slot("s", "c", "r"))
         assert resumed.metadata["resumed_steps"] == 15
