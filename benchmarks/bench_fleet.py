@@ -194,7 +194,7 @@ def run_fleet_fuzz(
         serial_store = Path(tmp) / "serial.db"
         spec = _spec(smoke, str(fleet_store), workers)
         serial_spec = dataclasses.replace(
-            spec, store=str(serial_store), mode="pool", workers=None, n_jobs=1
+            spec, store=str(serial_store), mode="pool", workers=None
         )
 
         # Serial, unkilled reference — store-backed like the fleet so

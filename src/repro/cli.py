@@ -3,7 +3,7 @@
 Usage::
 
     repro-experiments table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|sensitivity|all
-        [--full] [--seed N] [--jobs N] [--workers N] [--batch-size Q]
+        [--full] [--seed N] [--workers N] [--batch-size Q]
         [--save DIR] [--load DIR] [--resume DIR|DB] [--trace RUN.jsonl]
         [--verbose|--quiet]
 
@@ -35,15 +35,22 @@ vs. cold restart — and reports post-detection recovery time.
 
 ``--full`` runs the paper-scale budgets (60/180 steps, 2 passes, 30
 re-runs); the default is a scaled-down budget suitable for a laptop.
+``--workers N`` runs the study cells on N processes (a budget beyond
+the cell count goes to concurrent evaluations inside each cell; see
+EXPERIMENTS.md); without it every cell runs serially.
 ``--save DIR`` exports the underlying study runs as JSON;
 ``--load DIR`` re-renders figures from a previous export instead of
 re-running.  ``--resume`` checkpoints every study cell into a study
 store — a SQLite ``*.db`` file, or a directory holding ``store.db`` —
 after each observation and, when re-invoked with the same target after
 a crash, resumes from exactly where the campaign died
-(docs/ROBUSTNESS.md, docs/STORE.md).  ``--trace`` records the run as a JSONL
-observability trace (docs/OBSERVABILITY.md) that the ``obs``
-subcommands aggregate.
+(docs/ROBUSTNESS.md, docs/STORE.md): the result is byte-identical to
+an uninterrupted run with the same ``--resume`` target, not to a run
+without one.  A store holds one campaign: re-invoking it with another
+``--seed`` (or, for finished cells, another budget) fails those cells
+(exit 1) and leaves the store unchanged.  ``--trace`` records the run
+as a JSONL observability trace (docs/OBSERVABILITY.md) that the
+``obs`` subcommands aggregate.
 
 Exit status: 0 on success; 1 when any study cell raised or any tuning
 run finished without a single successful evaluation (both cases print
@@ -81,7 +88,6 @@ def _synthetic_study(args: argparse.Namespace) -> SyntheticStudy:
     study = SyntheticStudy(
         budget,
         seed=args.seed,
-        n_jobs=args.jobs,
         workers=args.workers,
         batch_size=args.batch_size,
         checkpoint_dir=args.resume,
@@ -107,7 +113,6 @@ def _sundog_study(args: argparse.Namespace) -> SundogStudy:
     study = SundogStudy(
         budget,
         seed=args.seed,
-        n_jobs=args.jobs,
         workers=args.workers,
         batch_size=args.batch_size,
         checkpoint_dir=args.resume,
@@ -352,15 +357,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--jobs", type=int, default=1, help="process-parallel study cells"
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
         help="total worker budget, split between cell processes and "
-        "in-loop concurrent evaluations (overrides --jobs; see "
-        "EXPERIMENTS.md)",
+        "in-loop concurrent evaluations (see EXPERIMENTS.md)",
     )
     parser.add_argument(
         "--batch-size",
@@ -456,7 +457,6 @@ def main(argv: list[str] | None = None) -> int:
         "argv": list(argv),
         "exhibit": args.exhibit,
         "seed": args.seed,
-        "jobs": args.jobs,
         "workers": args.workers,
         "batch_size": args.batch_size,
         "budget": "full" if args.full else "default",

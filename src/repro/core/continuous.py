@@ -35,7 +35,9 @@ A SIGKILL at any point resumes byte-identically: completed epochs reload
 from their checkpoints, the partial epoch resumes exactly via the inner
 loop's optimizer snapshot, and the epoch-boundary work (monitor
 measurement, detection, re-tune) is deterministic given the sidecar
-state, so re-doing it reproduces the uninterrupted run.
+state, so re-doing it reproduces the uninterrupted run.  A finished
+campaign also saves its renumbered observations as the cell's results,
+so ``store ls`` reads it as done.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 from repro.core.baselines import Optimizer
 from repro.core.drift import PageHinkleyDetector
 from repro.core.executor import call_objective
-from repro.core.history import Observation
+from repro.core.history import Observation, TuningResult
 from repro.core.loop import Objective, TuningLoop
 from repro.core.seeding import derive_seed
 from repro.obs import runtime as obs_runtime
@@ -546,4 +548,21 @@ class ContinuousTuningLoop:
                 "resumed_epochs": start_epoch,
             }
         )
+        # A re-run of a finished campaign writes nothing, unless the
+        # campaign finished before its results were saved.
+        if self.store is not None and (
+            start_epoch < self.epochs
+            or not self.store.has_results(self.study, self.cell)
+        ):
+            self.store.save_results(
+                self.study,
+                self.cell,
+                [
+                    TuningResult(
+                        strategy=self.strategy_name,
+                        observations=list(result.observations),
+                        metadata=dict(result.metadata),
+                    )
+                ],
+            )
         return result

@@ -112,7 +112,6 @@ class DiagnosticsTracker:
         self.objective = objective
         self.reference_pool = reference_pool
         self.reference_seed = reference_seed
-        self.maximize = bool(getattr(optimizer, "maximize", True))
         self.n_tells = 0
         self.n_scored = 0
         self.n_in_interval = 0
@@ -122,7 +121,7 @@ class DiagnosticsTracker:
         self._abs_z_sum = 0.0
         self._acq_first: float | None = None
         self._acq_last: float | None = None
-        self._best_value = -math.inf if self.maximize else math.inf
+        self._best_value = -math.inf
         self._best_config: Mapping[str, object] | None = None
         self._reference: float | None = None
         self._reference_built = False
@@ -166,7 +165,7 @@ class DiagnosticsTracker:
         except Exception:  # never let diagnostics kill a tuning run
             return None
         if values:
-            self._reference = max(values) if self.maximize else min(values)
+            self._reference = max(values)
         return self._reference
 
     def _incumbent_noise_free(self) -> float | None:
@@ -214,12 +213,7 @@ class DiagnosticsTracker:
         """Score one completed evaluation (call *before* the tell)."""
         self.n_tells += 1
         if not failed and math.isfinite(value):
-            better = (
-                value > self._best_value
-                if self.maximize
-                else value < self._best_value
-            )
-            if better:
+            if value > self._best_value:
                 self._best_value = value
                 self._best_config = dict(config)
                 self._incumbent_dirty = True
@@ -262,11 +256,7 @@ class DiagnosticsTracker:
             incumbent = self._incumbent_noise_free()
             if incumbent is not None:
                 diag.incumbent_noise_free = incumbent
-                gap = (
-                    reference - incumbent
-                    if self.maximize
-                    else incumbent - reference
-                )
+                gap = reference - incumbent
                 diag.incumbent_regret = (
                     gap / abs(reference) if reference else gap
                 )

@@ -1,7 +1,8 @@
 """The tuning loop: drive an optimizer against a black-box objective.
 
-Mirrors the paper's experimental procedure (§V-A): up to ``max_steps``
-evaluation runs per pass (60, or 180 for the bo180 runs); per-step
+Mirrors the paper's experimental procedure (§V-A): ``max_steps``
+evaluation runs per pass (60, or 180 for the bo180 runs), always the
+full budget, which Figure 5 then analyses post hoc; per-step
 optimizer wall time recorded (Figure 7); the best configuration
 re-measured ``repeat_best`` times at the end (30 in the paper) to give
 the mean/min/max bars of Figures 4 and 8.
@@ -94,11 +95,8 @@ def _failure_fields(run: object) -> dict[str, object]:
 class TuningLoop:
     """Run one optimizer against one objective for a step budget.
 
-    ``patience`` optionally stops the loop once the best observed value
-    has not improved by more than ``min_improvement`` (relative) for
-    that many consecutive steps — a convergence cut-off for production
-    use.  The paper's experiments always spend the full budget
-    (``patience=None``), which Figure 5 then analyses post hoc.
+    The loop stops short of ``max_steps`` only when the optimizer is
+    ``done`` (a baseline that exhausted its grid).
 
     ``executor`` selects where evaluations run (default: inline on the
     calling thread).  ``batch_size`` bounds the in-flight proposal set;
@@ -120,8 +118,6 @@ class TuningLoop:
         max_steps: int = 60,
         repeat_best: int = 0,
         strategy_name: str | None = None,
-        patience: int | None = None,
-        min_improvement: float = 0.01,
         executor: EvaluationExecutor | None = None,
         batch_size: int | None = None,
         seed: int | None = None,
@@ -133,10 +129,6 @@ class TuningLoop:
             raise ValueError("max_steps must be >= 1")
         if repeat_best < 0:
             raise ValueError("repeat_best must be >= 0")
-        if patience is not None and patience < 1:
-            raise ValueError("patience must be >= 1")
-        if min_improvement < 0:
-            raise ValueError("min_improvement must be >= 0")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.objective = objective
@@ -144,8 +136,6 @@ class TuningLoop:
         self.max_steps = max_steps
         self.repeat_best = repeat_best
         self.strategy_name = strategy_name or type(optimizer).__name__
-        self.patience = patience
-        self.min_improvement = min_improvement
         self.executor = executor
         self.batch_size = batch_size
         self.seed = seed
@@ -184,12 +174,23 @@ class TuningLoop:
         resume).  Per-evaluation seeds key off the *issued index*, so
         post-resume evaluations draw the same noise and fault streams
         either way.
+
+        A checkpoint written under another seed or strategy is refused:
+        continuing it would splice two different runs into one history.
+        A larger ``max_steps`` is a legal continuation.
         """
         if self.checkpoint is None:
             return 0
         checkpoint = self.checkpoint.load()
         if checkpoint is None or not checkpoint.observations:
             return 0
+        if checkpoint.seed != self.seed or checkpoint.strategy != self.strategy_name:
+            raise ValueError(
+                f"checkpoint {self.checkpoint.describe()} was written by a "
+                f"run with seed={checkpoint.seed!r} "
+                f"strategy={checkpoint.strategy!r}; this run has "
+                f"seed={self.seed!r} strategy={self.strategy_name!r}"
+            )
         restored = False
         if checkpoint.optimizer_state is not None:
             from_state = getattr(type(self.optimizer), "from_state_dict", None)
@@ -254,11 +255,8 @@ class TuningLoop:
             executor=executor.kind,
             batch_size=batch_size,
         ) as run_span:
-            best_seen = float("-inf")
-            stale_steps = 0
             issued = 0
             completed = 0
-            stop_issuing = False
             resumed = self._resume(result)
             if resumed:
                 tracer.event(
@@ -268,34 +266,10 @@ class TuningLoop:
                 )
                 run_metrics.counter("tuning.resumed_steps").inc(resumed)
                 issued = completed = resumed
-                # Rebuild the patience state the uninterrupted run would
-                # have reached, so resuming never changes when (or if)
-                # early stopping fires.
-                for obs in result.observations:
-                    improved = best_seen == float("-inf") or obs.value > (
-                        best_seen + abs(best_seen) * self.min_improvement
-                    )
-                    best_seen = max(best_seen, obs.value)
-                    stale_steps = 0 if improved else stale_steps + 1
             #: eval_id -> (amortized suggest seconds) for in-flight work.
             pending: dict[int, float] = {}
             while completed < self.max_steps:
-                can_issue = (
-                    not stop_issuing
-                    and issued < self.max_steps
-                    and not self.optimizer.done
-                )
-                if (
-                    can_issue
-                    and self.patience is not None
-                    and stale_steps >= self.patience
-                ):
-                    tracer.event(
-                        "tuning.early_stop", step=completed, patience=self.patience
-                    )
-                    stop_issuing = True
-                    can_issue = False
-                if can_issue:
+                if issued < self.max_steps and not self.optimizer.done:
                     want = min(self.max_steps - issued, batch_size - len(pending))
                     if want > 0:
                         t0 = time.perf_counter()
@@ -400,18 +374,6 @@ class TuningLoop:
                 completed += 1
                 if self.checkpoint is not None:
                     self._write_checkpoint(result)
-                # Staleness counts off the thresholded comparison, while
-                # best_seen always tracks the running max: a run of
-                # sub-threshold gains must neither reset patience nor leave
-                # the baseline stale below the actual best.
-                improved = best_seen == float("-inf") or value > (
-                    best_seen + abs(best_seen) * self.min_improvement
-                )
-                best_seen = max(best_seen, value)
-                if improved:
-                    stale_steps = 0
-                else:
-                    stale_steps += 1
             if not result.observations:
                 raise RuntimeError("optimizer produced no observations")
             if self.repeat_best > 0:

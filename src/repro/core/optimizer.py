@@ -23,9 +23,34 @@ from repro.core.gp import GaussianProcess
 from repro.core.parameters import ParameterSpace
 from repro.obs import runtime as obs_runtime
 
+#: Spaces above this many dimensions get an isotropic kernel by
+#: default: 60 samples cannot identify 100 lengthscales.
+ARD_MAX_DIM = 25
+
+#: Random restarts of each ML-II hyperparameter refit.
+N_RESTARTS = 2
+
+#: Former options an older :meth:`BayesianOptimizer.state_dict` may
+#: carry, with the one value each is now fixed at.
+RETIRED_STATE_KEYS: dict[str, object] = {
+    "n_restarts": N_RESTARTS,
+    "maximize": True,
+    "liar": "constant",
+}
+
 
 class BayesianOptimizer(Optimizer):
     """GP + acquisition-function optimizer over a :class:`ParameterSpace`.
+
+    The objective is maximized (throughput).  :meth:`ask_batch`
+    fantasizes pending (submitted-but-unmeasured) proposals with the
+    constant liar of Ginsbourger et al.: each is imputed the *worst*
+    observed value, deterring the acquisition from re-proposing nearby
+    while keeping it honest about unexplored regions.  The surrogate is
+    reconditioned (hyperparameters frozen) so the next proposal steers
+    away from in-flight configurations — the Spearmint pending-job
+    machinery the paper leaned on for cluster-scale evaluations
+    (§III-C).
 
     Parameters
     ----------
@@ -37,8 +62,7 @@ class BayesianOptimizer(Optimizer):
         'matern52' (Spearmint's default), 'matern32', or 'rbf'.
     ard:
         Per-dimension lengthscales.  Defaults to isotropic for spaces
-        above ``ard_max_dim`` dimensions, where 60 samples cannot
-        identify 100 lengthscales.
+        above :data:`ARD_MAX_DIM` dimensions.
     init_points:
         Size of the Latin-hypercube initial design.  Defaults to
         ``max(4, min(dim + 1, 10))``.
@@ -56,22 +80,6 @@ class BayesianOptimizer(Optimizer):
         cheap and early hyperparameter adaptation matters most.
         ``refit_every=1`` recovers the refit-everything-always
         behaviour.
-    maximize:
-        True for throughput-style objectives.
-    liar:
-        Fantasy strategy for pending (submitted-but-unmeasured)
-        proposals, used by :meth:`ask_batch` to emit ``q > 1`` diverse
-        suggestions per batch.  ``"constant"`` (the constant liar of
-        Ginsbourger et al.): pending points are imputed the *worst*
-        observed value, deterring the acquisition from re-proposing
-        nearby while keeping it honest about unexplored regions.
-        ``"mean"`` (the kriging believer): pending points are imputed
-        the GP posterior mean, which collapses predictive variance at
-        the pending point without biasing the mean surface.  Either
-        way the surrogate is reconditioned (hyperparameters frozen) so
-        the next proposal steers away from in-flight configurations —
-        the Spearmint pending-job machinery the paper leaned on for
-        cluster-scale evaluations (§III-C).
     hyper_inference:
         ``"ml2"`` (default): point-estimate hyperparameters by marginal
         likelihood.  ``"mcmc"``: slice-sample the hyperparameter
@@ -99,13 +107,9 @@ class BayesianOptimizer(Optimizer):
         acquisition: str = "ei",
         kernel: str = "matern52",
         ard: bool | None = None,
-        ard_max_dim: int = 25,
         init_points: int | None = None,
         initial_configs: list[Mapping[str, object]] | None = None,
         refit_every: int = 5,
-        n_restarts: int = 2,
-        maximize: bool = True,
-        liar: str = "constant",
         seed: int | None = None,
         acq_candidates: int = 1024,
         hyper_inference: str = "ml2",
@@ -115,7 +119,7 @@ class BayesianOptimizer(Optimizer):
     ) -> None:
         self.space = space
         if ard is None:
-            ard = space.dim <= ard_max_dim
+            ard = space.dim <= ARD_MAX_DIM
         self._kernel_name = kernel
         self._ard = ard
         self.gp = GaussianProcess(kernel, space.dim, ard=ard)
@@ -150,11 +154,6 @@ class BayesianOptimizer(Optimizer):
         if refit_every < 1:
             raise ValueError("refit_every must be >= 1")
         self.refit_every = refit_every
-        self.n_restarts = n_restarts
-        self.maximize = maximize
-        if liar not in ("constant", "mean"):
-            raise ValueError(f"unknown liar {liar!r}; use 'constant' or 'mean'")
-        self.liar = liar
         self._seed = seed
         self._rng = np.random.default_rng(seed)
         self.X: list[np.ndarray] = []
@@ -238,8 +237,8 @@ class BayesianOptimizer(Optimizer):
         """Propose ``n`` diverse configurations for concurrent evaluation.
 
         Each proposal is conditioned on the previous ones through the
-        ``liar`` fantasy strategy, so one batch spreads across the
-        acquisition landscape instead of piling onto its argmax.
+        constant liar, so one batch spreads across the acquisition
+        landscape instead of piling onto its argmax.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -261,7 +260,8 @@ class BayesianOptimizer(Optimizer):
         self.space.validate(config)
         x = np.asarray(self.space.encode(config), dtype=float)
         self._pending_X.append(x)
-        self._pending_y.append(self._fantasy_value(x))
+        # Constant liar: the worst observed value.
+        self._pending_y.append(min(self.y) if self.y else 0.0)
         self._n_fantasies_total += 1
         self._pending = None
         past_warmup = len(self.X) >= len(self._initial_configs) + self.init_points
@@ -270,17 +270,6 @@ class BayesianOptimizer(Optimizer):
                 "gp.fantasy_condition", n_pending=len(self._pending_X)
             ):
                 self._fit_gp(optimize_hyperparams=False)
-
-    def _fantasy_value(self, x: np.ndarray) -> float:
-        """Imputed objective value for a pending point (raw units)."""
-        if not self.y:
-            return 0.0
-        if self.liar == "mean" and self.gp.is_fitted:
-            mean = float(self.gp.predict(x[None, :], return_std=False)[0])
-            return mean if self.maximize else -mean
-        # Constant liar: the worst observed value (also the "mean"
-        # fallback while the GP is unfitted).
-        return min(self.y) if self.maximize else max(self.y)
 
     def _remove_pending(self, x: np.ndarray) -> bool:
         """Retire the fantasy matching ``x``, if one is in flight."""
@@ -315,12 +304,12 @@ class BayesianOptimizer(Optimizer):
         """Record a failed evaluation as a penalized imputation.
 
         The config enters the GP with the worst *real* observation
-        minus a margin (plus, for minimization) — a finite, smooth
-        penalty that steers EI away from crash-prone regions without
-        the pathologies of the alternatives: dropping failures leaves
-        the optimizer re-proposing them forever, and telling a literal
-        0.0 wrecks the target normalization when real throughputs live
-        in the millions (ContTune-style failures-as-signals treatment).
+        minus a margin — a finite, smooth penalty that steers EI away
+        from crash-prone regions without the pathologies of the
+        alternatives: dropping failures leaves the optimizer re-proposing
+        them forever, and telling a literal 0.0 wrecks the target
+        normalization when real throughputs live in the millions
+        (ContTune-style failures-as-signals treatment).
         """
         self._last_failure_reason = str(reason)
         self._record(config, self._failure_imputation(), failed=True)
@@ -332,10 +321,10 @@ class BayesianOptimizer(Optimizer):
             # Nothing measured yet: no scale to impute from.  Zero is
             # the natural floor for throughput-style objectives.
             return 0.0
-        worst = min(real) if self.maximize else max(real)
-        spread = max(real) - min(real)
+        worst = min(real)
+        spread = max(real) - worst
         margin = 0.1 * spread if spread > 0 else max(1.0, 0.1 * abs(worst))
-        return worst - margin if self.maximize else worst + margin
+        return worst - margin
 
     def _record(
         self, config: Mapping[str, object], value: float, *, failed: bool
@@ -365,7 +354,7 @@ class BayesianOptimizer(Optimizer):
                 self._fit_gp(optimize_hyperparams=True)
         elif not self._pending_X and self.gp.n_observations == len(self.X) - 1:
             with tracer.span("gp.rank1_update", n_obs=len(self.X)):
-                self.gp.update(x, float(value) if self.maximize else -float(value))
+                self.gp.update(x, float(value))
         else:
             # Posterior covers fantasies, or history and posterior are
             # out of sync (manual surgery on X/y): recondition on
@@ -399,7 +388,6 @@ class BayesianOptimizer(Optimizer):
             "n_proposals": self._n_proposals,
             "acq_refined_total": self._refined_total,
             "acq_refine_iterations_total": self._refine_iterations_total,
-            "liar": self.liar,
             "fantasies_active": len(self._pending_X),
             "fantasies_total": self._n_fantasies_total,
             "failed_observations": sum(self._failure_mask),
@@ -425,12 +413,12 @@ class BayesianOptimizer(Optimizer):
     ) -> tuple[float, float] | None:
         """Posterior predictive ``(mean, std)`` for one raw config.
 
-        Values are in objective units with the ``maximize`` sign undone,
-        so callers compare directly against measured values.  With
-        ``include_noise`` the std covers the fitted observation noise —
-        the right predictive interval for a *measurement* rather than
-        the latent function.  Returns ``None`` while the surrogate is
-        unfitted (warm-up), or when the config fails validation.
+        Values are in objective units, so callers compare directly
+        against measured values.  With ``include_noise`` the std covers
+        the fitted observation noise — the right predictive interval for
+        a *measurement* rather than the latent function.  Returns
+        ``None`` while the surrogate is unfitted (warm-up), or when the
+        config fails validation.
         """
         if not self.gp.is_fitted:
             return None
@@ -443,13 +431,12 @@ class BayesianOptimizer(Optimizer):
         sd = float(std[0])
         if include_noise:
             sd = float(np.hypot(sd, self.gp.observation_noise_std))
-        mu = float(mean[0])
-        return (mu if self.maximize else -mu, sd)
+        return (float(mean[0]), sd)
 
     def best(self) -> tuple[dict[str, object], float]:
         if not self.y:
             raise RuntimeError("no observations yet")
-        idx = int(np.argmax(self.y) if self.maximize else np.argmin(self.y))
+        idx = int(np.argmax(self.y))
         return self.space.decode(self.X[idx]), self.y[idx]
 
     # ------------------------------------------------------------------
@@ -505,14 +492,6 @@ class BayesianOptimizer(Optimizer):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _signed_y(self) -> np.ndarray:
-        y = np.asarray(self.y, dtype=float)
-        return y if self.maximize else -y
-
-    def _signed_pending_y(self) -> np.ndarray:
-        y = np.asarray(self._pending_y, dtype=float)
-        return y if self.maximize else -y
-
     def _stale_y_err(self, n_pending: int) -> np.ndarray | None:
         """Per-point extra GP variance, or ``None`` when all fresh."""
         if not any(v > 0.0 for v in self._stale_var):
@@ -524,12 +503,12 @@ class BayesianOptimizer(Optimizer):
     def _fit_gp(self, *, optimize_hyperparams: bool) -> None:
         """Condition the GP on real observations plus active fantasies."""
         X = np.vstack(self.X + self._pending_X)
-        y = np.concatenate([self._signed_y(), self._signed_pending_y()])
+        y = np.asarray(self.y + self._pending_y, dtype=float)
         self.gp.fit(
             X,
             y,
             optimize_hyperparams=optimize_hyperparams,
-            n_restarts=self.n_restarts,
+            n_restarts=N_RESTARTS,
             rng=self._rng,
             y_err=self._stale_y_err(len(self._pending_X)),
         )
@@ -553,7 +532,7 @@ class BayesianOptimizer(Optimizer):
                 self.acq.set_theta_samples(thetas)
 
     def _propose(self) -> np.ndarray:
-        y = self._signed_y()
+        y = np.asarray(self.y, dtype=float)
         # EI's incumbent must be *achievable*: after a drift re-tune the
         # stale pre-drift maximum may sit far above anything the new
         # conditions allow, flattening the acquisition surface.  Rank
@@ -614,9 +593,6 @@ class BayesianOptimizer(Optimizer):
             "ard": self._ard,
             "init_points": self.init_points,
             "refit_every": self.refit_every,
-            "n_restarts": self.n_restarts,
-            "maximize": self.maximize,
-            "liar": self.liar,
             "seed": self._seed,
             "acq_candidates": self.acq.n_candidates,
             "hyper_inference": self.hyper_inference,
@@ -644,6 +620,14 @@ class BayesianOptimizer(Optimizer):
 
     @classmethod
     def from_state_dict(cls, state: Mapping[str, object]) -> "BayesianOptimizer":
+        # States saved while these were options still carry them; only
+        # the values now fixed resume the trajectory they were saved on.
+        for key, fixed in RETIRED_STATE_KEYS.items():
+            if state.get(key, fixed) != fixed:
+                raise ValueError(
+                    f"optimizer state has {key}={state[key]!r}; only "
+                    f"{key}={fixed!r} is supported"
+                )
         space = ParameterSpace.from_dict(state["space"])  # type: ignore[arg-type]
         optimizer = cls(
             space,
@@ -652,9 +636,6 @@ class BayesianOptimizer(Optimizer):
             ard=bool(state["ard"]),
             init_points=int(state["init_points"]),  # type: ignore[arg-type]
             refit_every=int(state["refit_every"]),  # type: ignore[arg-type]
-            n_restarts=int(state["n_restarts"]),  # type: ignore[arg-type]
-            maximize=bool(state["maximize"]),
-            liar=str(state.get("liar", "constant")),
             seed=state["seed"],  # type: ignore[arg-type]
             acq_candidates=int(state["acq_candidates"]),  # type: ignore[arg-type]
             hyper_inference=str(state.get("hyper_inference", "ml2")),
@@ -698,7 +679,7 @@ class BayesianOptimizer(Optimizer):
                 gp._y_mean = float(state["y_mean"])  # type: ignore[arg-type]
                 gp._y_std = float(state["y_std"])  # type: ignore[arg-type]
                 gp._y_err = optimizer._stale_y_err(0)
-                z = (optimizer._signed_y() - gp._y_mean) / gp._y_std
+                z = (np.asarray(optimizer.y, dtype=float) - gp._y_mean) / gp._y_std
                 gp._refresh_posterior(np.vstack(optimizer.X), z)
             else:  # states saved before normalization was serialized
                 optimizer._fit_gp(optimize_hyperparams=False)

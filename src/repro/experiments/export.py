@@ -2,7 +2,9 @@
 
 Paper-scale studies take real time; exports make their results
 re-renderable (and diffable across calibration changes) without
-re-running.  The JSON layout is stable and versioned.
+re-running.  The JSON layout is stable and versioned.  Exports written
+before every study measured the analytic model carry a ``fidelity``
+key; loading ignores it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ def synthetic_study_to_dict(study: SyntheticStudy) -> dict[str, object]:
         "kind": "synthetic",
         "budget": study.budget.as_dict(),
         "seed": study.seed,
-        "fidelity": study.fidelity,
         "cells": cells,
     }
 
@@ -71,7 +72,6 @@ def synthetic_study_from_dict(data: Mapping[str, object]) -> SyntheticStudy:
         sizes=sizes,
         strategies=strategies,
         seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
-        fidelity=str(data.get("fidelity", "analytic")),
     )
     study.results = results
     return study
@@ -92,7 +92,6 @@ def sundog_study_to_dict(study: SundogStudy) -> dict[str, object]:
         "kind": "sundog",
         "budget": study.budget.as_dict(),
         "seed": study.seed,
-        "fidelity": study.fidelity,
         "arms": arms,
     }
 
@@ -110,7 +109,6 @@ def sundog_study_from_dict(data: Mapping[str, object]) -> SundogStudy:
         Budget.from_dict(data["budget"]),  # type: ignore[arg-type]
         arms=arm_specs,
         seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
-        fidelity=str(data.get("fidelity", "analytic")),
     )
     study.results = results
     return study

@@ -43,7 +43,6 @@ TIMELINE_PREFIXES = (
     "resilience.",
     "engine.fault_injected",
     "tuning.evaluation_failure",
-    "tuning.early_stop",
     "tuning.resume",
     "continuous.",
 )

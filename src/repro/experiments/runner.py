@@ -216,7 +216,6 @@ class CellSpec:
     strategy: str
     budget: Budget
     seed: int = 0
-    fidelity: str = "analytic"
     loop_workers: int = 1
     batch_size: int | None = None
     checkpoint_dir: str | None = None
@@ -285,7 +284,7 @@ class SyntheticCellSpec(CellSpec):
         self, substrate: Substrate, seed: int
     ) -> tuple[Optimizer, ConfigCodec]:
         return make_synthetic_optimizer(
-            self.strategy, *substrate, self.steps, seed, fidelity=self.fidelity
+            self.strategy, *substrate, self.steps, seed, fidelity="analytic"
         )
 
 
@@ -359,7 +358,8 @@ def run_cell(
     ``store`` is an open handle its caller owns (a campaign's, or a
     fleet worker's); without one, a cell with a ``checkpoint_dir``
     opens its own store and closes it when done.  A cell whose results
-    are already in its store is served from there without running.
+    are already in its store is served from there without running —
+    when they are this spec's passes (see :func:`_check_cached`).
     """
     if store is None and spec.checkpoint_dir:
         with open_store(spec.checkpoint_dir) as own:
@@ -367,6 +367,7 @@ def run_cell(
     if store is not None:
         cached = store.load_results(spec.study, spec.cell)
         if cached is not None:
+            _check_cached(spec, store, cached)
             return cached
     substrate = spec.substrate()
     topology, cluster, _ = substrate
@@ -385,7 +386,6 @@ def run_cell(
             topology,
             cluster,
             codec,
-            fidelity=spec.fidelity,  # type: ignore[arg-type]
             noise=GaussianNoise(MEASUREMENT_NOISE_SIGMA),
             seed=pass_seed + spec.objective_seed_offset,
         )
@@ -437,6 +437,33 @@ def run_cell(
                 spec.study, spec.cell, results, owner=owner, token=int(token)
             )
     return results
+
+
+def _check_cached(
+    spec: SyntheticCellSpec | SundogArmSpec,
+    store: StudyStore,
+    cached: list[TuningResult],
+) -> None:
+    """Refuse finished results another campaign left under this cell.
+
+    A store holds one campaign per cell: results written under another
+    seed or budget would be served as this spec's.  Each pass must
+    carry this spec's ``cell_seed``, ``max_steps`` and ``repeat_best``.
+    """
+    expected = [
+        (spec.base_seed() + i, spec.steps, spec.budget.repeat_best)
+        for i in range(spec.budget.passes)
+    ]
+    found = [
+        tuple(r.metadata.get(k) for k in ("cell_seed", "max_steps", "repeat_best"))
+        for r in cached
+    ]
+    if found != expected:
+        raise ValueError(
+            f"results {store.address(spec.study, spec.cell, 'results')} "
+            f"were written with (cell_seed, max_steps, repeat_best) per "
+            f"pass {found}; this cell expects {expected}"
+        )
 
 
 def _sundog_codec(
@@ -500,11 +527,10 @@ class _Study:
     ``passes``/``best_pass``) while the campaign layer owns
     orchestration and the store layer persistence.
 
-    ``n_jobs`` controls cell-level process parallelism directly;
     ``workers``, when given, is a *total* budget split between cell
     processes and in-loop evaluation concurrency via
-    :func:`~repro.service.campaign.split_worker_budget` (overriding
-    ``n_jobs``).
+    :func:`~repro.service.campaign.split_worker_budget`; without it
+    every cell runs serially in this process.
     """
 
     study_name: ClassVar[str]
@@ -514,8 +540,6 @@ class _Study:
         budget: Budget | None = None,
         *,
         seed: int = 0,
-        fidelity: str = "analytic",
-        n_jobs: int = 1,
         workers: int | None = None,
         batch_size: int | None = None,
         checkpoint_dir: str | None = None,
@@ -524,22 +548,17 @@ class _Study:
     ) -> None:
         self.budget = budget or default_budget()
         self.seed = seed
-        self.fidelity = fidelity
         self.campaign = CampaignSpec(
             study=self.study_name,
             budget=self.budget,
             seed=seed,
-            fidelity=fidelity,
             workers=workers,
-            n_jobs=n_jobs,
             batch_size=batch_size,
             store=checkpoint_dir,
             resilience=resilience,
             **axes,
         )
         self._runner = CampaignRunner(self.campaign)
-        self.n_jobs = self._runner.n_jobs
-        self.loop_workers = self._runner.loop_workers
         self.results: dict[Any, list[TuningResult]] = {}
 
     def specs(self) -> list[SyntheticCellSpec | SundogArmSpec]:

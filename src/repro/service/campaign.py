@@ -245,18 +245,17 @@ class CampaignSpec:
     :func:`repro.store.open_store` spec — a ``*.db`` file or a
     directory holding ``store.db`` — or ``None`` for a purely in-memory campaign.
     ``workers`` is a total concurrency budget split by
-    :func:`split_worker_budget`; ``n_jobs`` sets cell processes directly
-    when no budget is given.  ``resilience`` applies one
-    :class:`~repro.core.resilience.RetryPolicy` to every cell's
-    evaluations.
+    :func:`split_worker_budget`; without one every cell runs serially in
+    the calling process.  Every cell measures the analytic model
+    (:class:`~repro.storm.objective.StormObjective`'s default fidelity).
+    ``resilience`` applies one :class:`~repro.core.resilience.RetryPolicy`
+    to every cell's evaluations.
     """
 
     study: str
     budget: Budget = field(default_factory=default_budget)
     seed: int = 0
-    fidelity: str = "analytic"
     workers: int | None = None
-    n_jobs: int = 1
     batch_size: int | None = None
     store: str | None = None
     resilience: RetryPolicy | None = None
@@ -306,10 +305,10 @@ class CampaignSpec:
             # Fleet workers are whole processes; each runs its cells
             # with a serial loop so any worker's cell is byte-identical
             # to a serial run of the same cell.
-            return max(1, self.workers or self.n_jobs), 1
+            return max(1, self.workers or 1), 1
         if self.workers is not None:
             return split_worker_budget(self.workers, self.n_cells)
-        return max(1, self.n_jobs), 1
+        return 1, 1
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict[str, object]:
@@ -317,9 +316,7 @@ class CampaignSpec:
             "study": self.study,
             "budget": self.budget.as_dict(),
             "seed": self.seed,
-            "fidelity": self.fidelity,
             "workers": self.workers,
-            "n_jobs": self.n_jobs,
             "batch_size": self.batch_size,
             "store": self.store,
             "resilience": (
@@ -343,13 +340,16 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":
         # Campaign documents published before the in-loop executor was
-        # fixed to threads carry ``"loop_executor": "thread"``.
-        loop_executor = data.get("loop_executor", "thread")
-        if loop_executor != "thread":
-            raise ValueError(
-                f"unsupported loop_executor {loop_executor!r}: cells run "
-                "their concurrent evaluations on threads"
-            )
+        # fixed to threads carry ``"loop_executor": "thread"``, and those
+        # published before every cell measured the analytic model carry
+        # ``"fidelity": "analytic"`` (and an ``n_jobs``, superseded by
+        # ``workers`` and ignored).
+        for key, fixed in (("loop_executor", "thread"), ("fidelity", "analytic")):
+            value = data.get(key, fixed)
+            if value != fixed:
+                raise ValueError(
+                    f"unsupported {key} {value!r}: only {fixed!r} is supported"
+                )
         budget = data.get("budget")
         resilience = data.get("resilience")
         workers = data.get("workers")
@@ -358,9 +358,7 @@ class CampaignSpec:
             study=str(data["study"]),
             budget=Budget.from_dict(budget) if budget else default_budget(),  # type: ignore[arg-type]
             seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
-            fidelity=str(data.get("fidelity", "analytic")),
             workers=None if workers is None else int(workers),  # type: ignore[arg-type]
-            n_jobs=int(data.get("n_jobs", 1)),  # type: ignore[arg-type]
             batch_size=None if batch_size is None else int(batch_size),  # type: ignore[arg-type]
             store=None if data.get("store") is None else str(data["store"]),
             resilience=(
@@ -436,7 +434,6 @@ class CampaignRunner:
         common = dict(
             budget=spec.budget,
             seed=spec.seed,
-            fidelity=spec.fidelity,
             loop_workers=self.loop_workers,
             batch_size=spec.batch_size,
             checkpoint_dir=spec.store,

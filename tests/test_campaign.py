@@ -79,8 +79,8 @@ class TestCampaignSpec:
     def test_worker_split_prefers_explicit_workers(self):
         spec = CampaignSpec.synthetic(workers=2)
         assert spec.worker_split() == split_worker_budget(2, spec.n_cells)
-        spec = CampaignSpec.synthetic(n_jobs=3)
-        assert spec.worker_split() == (3, 1)
+        spec = CampaignSpec.synthetic()
+        assert spec.worker_split() == (1, 1)
 
 
 class TestCampaignRunner:
@@ -169,6 +169,16 @@ class TestFleetMode:
         data = {**spec.as_dict(), "loop_executor": "thread"}
         assert CampaignSpec.from_dict(data) == spec
 
+    def test_published_n_jobs_and_analytic_fidelity_are_accepted(self):
+        spec = self._tiny()
+        data = {**spec.as_dict(), "n_jobs": 3, "fidelity": "analytic"}
+        assert CampaignSpec.from_dict(data) == spec
+
+    def test_other_fidelities_are_rejected(self):
+        data = {**self._tiny().as_dict(), "fidelity": "des"}
+        with pytest.raises(ValueError, match="fidelity"):
+            CampaignSpec.from_dict(data)
+
     def test_other_loop_executors_are_rejected(self):
         data = {**self._tiny().as_dict(), "loop_executor": "process"}
         with pytest.raises(ValueError, match="loop_executor"):
@@ -201,7 +211,7 @@ class TestFleetMode:
             lease_ttl_seconds=15.0,
         )
         pool_spec = self._tiny(
-            seed=2, store=str(tmp_path / "pool"), mode="pool", n_jobs=1
+            seed=2, store=str(tmp_path / "pool"), mode="pool"
         )
         fleet = CampaignRunner(fleet_spec).run()
         pool = CampaignRunner(pool_spec).run()
@@ -236,7 +246,7 @@ class TestFleetMode:
             lease_ttl_seconds=15.0, **common,
         )
         pool_spec = CampaignSpec.sundog(
-            store=str(tmp_path / "pool.db"), mode="pool", n_jobs=1, **common
+            store=str(tmp_path / "pool.db"), mode="pool", **common
         )
         fleet = CampaignRunner(fleet_spec).run()
         pool = CampaignRunner(pool_spec).run()

@@ -23,8 +23,6 @@ from repro.topology_gen.suite import make_topology
 class _FixedPredictor:
     """An 'optimizer' whose predictive distribution is scripted."""
 
-    maximize = True
-
     def __init__(self, predictions):
         self._predictions = iter(predictions)
         self.last_acquisition_value = None
@@ -84,14 +82,6 @@ class TestTrackerScoring:
         tracker.observe(step=0, config={}, value=-1e9, failed=True)
         diag = tracker.observe(step=1, config={}, value=5.0)
         assert diag.best_value == 5.0
-
-    def test_minimize_direction_tracks_lowest(self):
-        predictor = _FixedPredictor([None, None])
-        predictor.maximize = False
-        tracker = DiagnosticsTracker(predictor)
-        tracker.observe(step=0, config={}, value=4.0)
-        diag = tracker.observe(step=1, config={}, value=2.0)
-        assert diag.best_value == 2.0
 
     def test_acquisition_decay_first_vs_last(self):
         predictor = _FixedPredictor([None, None, None])
@@ -216,18 +206,6 @@ class TestPredictConfig:
         assert sd_noisy == pytest.approx(
             math.hypot(sd_latent, optimizer.gp.observation_noise_std)
         )
-
-    def test_minimize_sign_round_trips(self):
-        space = ParameterSpace([IntParameter("p", 1, 8)])
-        optimizer = BayesianOptimizer(space, seed=0, maximize=False)
-        for _ in range(5):
-            config = optimizer.ask()
-            optimizer.tell(config, float(config["p"]))
-        mu, sd = optimizer.predict_config({"p": 2})
-        # Means come back in objective units: near the observed scale,
-        # not its negation.
-        assert 0.0 < mu < 10.0
-        assert sd > 0.0
 
 
 # ----------------------------------------------------------------------

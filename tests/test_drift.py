@@ -457,6 +457,28 @@ class TestContinuousTuningLoop:
         )
         assert resumed.detections == full.detections
 
+    def test_finished_campaign_saves_its_results(self, stores):
+        """A finished campaign reads "done" in the store, and running it
+        again measures nothing."""
+        store = stores("s")
+        full = _loop(DriftingParabola(), store=store).run()
+        (saved,) = store.load_results("continuous", "")
+        assert canonical_history(saved.observations) == canonical_history(
+            full.observations
+        )
+
+        class Counting(DriftingParabola):
+            calls = 0
+
+            def __call__(self, params):
+                Counting.calls += 1
+                return super().__call__(params)
+
+        again = _loop(Counting(), store=store).run()
+        assert Counting.calls == 0
+        assert again.metadata["resumed_epochs"] == 4
+        assert store.has_results("continuous", "")
+
     def test_sidecar_mode_mismatch_raises(self, stores):
         store = stores("s")
         _loop(DriftingParabola(), store=store).run()

@@ -152,47 +152,18 @@ class TestTuningLoop:
 
 
 class TestPatience:
-    def test_stops_after_stale_steps(self):
-        opt = GridAscentOptimizer([{"h": i} for i in range(1, 40)])
-        values = iter([10.0] + [9.0] * 50)  # never improves after step 1
-        loop = TuningLoop(
-            lambda c: next(values), opt, max_steps=39, patience=5
-        )
-        result = loop.run()
-        assert result.n_steps == 6  # 1 improvement + 5 stale
-        assert result.metadata["stopped_early"]
-
-    def test_improvement_resets_patience(self):
-        opt = GridAscentOptimizer([{"h": i} for i in range(1, 40)])
-        values = iter([10.0, 9.0, 9.0, 20.0, 19.0, 19.0, 19.0, 19.0] + [1.0] * 40)
-        loop = TuningLoop(
-            lambda c: next(values), opt, max_steps=39, patience=4
-        )
-        result = loop.run()
-        assert result.n_steps == 8  # reset at the 20.0 improvement
-
-    def test_min_improvement_threshold(self):
-        opt = GridAscentOptimizer([{"h": i} for i in range(1, 40)])
-        # 1% gains do not count as improvement at min_improvement=0.05.
-        values = iter([100.0, 101.0, 102.0, 103.0] + [1.0] * 40)
-        loop = TuningLoop(
-            lambda c: next(values),
-            opt,
-            max_steps=39,
-            patience=3,
-            min_improvement=0.05,
-        )
-        result = loop.run()
-        assert result.n_steps == 4
+    """The loop has no early stop: a stale run still spends its budget."""
 
     def test_no_patience_runs_full_budget(self):
         opt = GridAscentOptimizer([{"h": i} for i in range(1, 10)])
         result = TuningLoop(lambda c: 1.0, opt, max_steps=9).run()
         assert result.n_steps == 9
+        assert not result.metadata["stopped_early"]
 
     def test_validation(self):
+        """The retired early-stop keywords fail loudly, not silently."""
         opt = GridAscentOptimizer([{"h": 1}])
-        with pytest.raises(ValueError):
-            TuningLoop(lambda c: 1.0, opt, max_steps=1, patience=0)
-        with pytest.raises(ValueError):
-            TuningLoop(lambda c: 1.0, opt, max_steps=1, min_improvement=-0.1)
+        with pytest.raises(TypeError):
+            TuningLoop(lambda c: 1.0, opt, max_steps=1, patience=5)
+        with pytest.raises(TypeError):
+            TuningLoop(lambda c: 1.0, opt, max_steps=1, min_improvement=0.1)

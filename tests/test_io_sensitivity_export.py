@@ -197,6 +197,29 @@ class TestStudyExport:
         data = figure4_throughput(again)  # type: ignore[arg-type]
         assert len(data.rows) == 1
 
+    def test_export_carrying_fidelity_renders_with_load(
+        self, tmp_path, tiny_budget, capsys
+    ):
+        """Exports written while studies had a fidelity option carry a
+        ``fidelity`` key; ``--load`` still re-renders them."""
+        import json
+
+        from repro.cli import main
+
+        study = SyntheticStudy(
+            tiny_budget,
+            conditions=[CONDITIONS[0]],
+            sizes=["small"],
+            strategies=["pla"],
+        ).run()
+        path = tmp_path / "synthetic.json"
+        save_study(study, path)
+        data = json.loads(path.read_text())
+        assert "fidelity" not in data
+        path.write_text(json.dumps({**data, "fidelity": "analytic"}, indent=1))
+        assert main(["fig4", "--load", str(tmp_path), "-q"]) == 0
+        assert "Figure 4" in capsys.readouterr().out
+
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             synthetic_study_from_dict({"kind": "sundog"})

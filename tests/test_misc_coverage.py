@@ -74,8 +74,8 @@ class TestOptimizerVariants:
 
         small_space = ParameterSpace([IntParameter(f"p{i}", 1, 4) for i in range(5)])
         big_space = ParameterSpace([IntParameter(f"p{i}", 1, 4) for i in range(40)])
-        assert BayesianOptimizer(small_space, ard_max_dim=25).gp.kernel.ard
-        assert not BayesianOptimizer(big_space, ard_max_dim=25).gp.kernel.ard
+        assert BayesianOptimizer(small_space).gp.kernel.ard
+        assert not BayesianOptimizer(big_space).gp.kernel.ard
 
     def test_refit_every_controls_hyperparameter_updates(self):
         from repro.core.optimizer import BayesianOptimizer

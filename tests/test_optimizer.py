@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -73,12 +75,14 @@ class TestAskTell:
         assert best_val == max(opt.y)
 
     def test_minimize_mode(self):
-        opt = BayesianOptimizer(make_space(), seed=0, maximize=False)
-        for _ in range(5):
-            config = opt.ask()
-            opt.tell(config, quadratic_objective(config))
-        _, best_val = opt.best()
-        assert best_val == min(opt.y)
+        """The optimizer only maximizes: a state saved in minimize mode
+        would resume on the wrong objective and is refused."""
+        opt = BayesianOptimizer(make_space(), seed=0)
+        with pytest.raises(TypeError):
+            BayesianOptimizer(make_space(), maximize=False)
+        state = {**opt.state_dict(), "maximize": False}
+        with pytest.raises(ValueError, match="maximize"):
+            BayesianOptimizer.from_state_dict(state)
 
     def test_never_done(self):
         opt = BayesianOptimizer(make_space(), seed=0)
@@ -228,6 +232,36 @@ class TestPauseResume:
         opt.save(path)
         resumed = BayesianOptimizer.load(path)
         assert np.allclose(resumed.gp.kernel.theta, theta)
+
+    def test_state_with_retired_option_keys_resumes_identically(self, tmp_path):
+        """A state saved while ``maximize``/``liar``/``n_restarts`` were
+        options, at the values now fixed, resumes to the same ask()."""
+        opt = BayesianOptimizer(make_space(), init_points=4, seed=13)
+        for _ in range(7):
+            c = opt.ask()
+            opt.tell(c, quadratic_objective(c))
+        path = tmp_path / "state.json"
+        opt.save(path)
+        legacy = {
+            **json.loads(path.read_text()),
+            "n_restarts": 2,
+            "maximize": True,
+            "liar": "constant",
+        }
+        legacy_path = tmp_path / "legacy.json"
+        legacy_path.write_text(json.dumps(legacy))
+        proposal = BayesianOptimizer.load(legacy_path).ask()
+        assert proposal == BayesianOptimizer.load(path).ask()
+        live = opt.ask()
+        for key in live:
+            assert float(proposal[key]) == pytest.approx(float(live[key]), abs=1e-9)
+
+    def test_state_with_other_n_restarts_is_refused(self):
+        opt = BayesianOptimizer(make_space(), seed=0)
+        with pytest.raises(ValueError, match="n_restarts"):
+            BayesianOptimizer.from_state_dict(
+                {**opt.state_dict(), "n_restarts": 5}
+            )
 
 
 def test_seeded_runs_are_deterministic():

@@ -171,18 +171,16 @@ class TestGridBatching:
 
 
 class TestBayesianFantasies:
-    def _warmed(self, liar: str) -> tuple[BayesianOptimizer, object]:
+    def _warmed(self) -> tuple[BayesianOptimizer, object]:
         optimizer, space = _make("bo")
-        optimizer.liar = liar
         for _ in range(6):
             config = optimizer.ask()
             optimizer.tell(config, _value(space, config))
         return optimizer, space
 
-    @pytest.mark.parametrize("liar", ["constant", "mean"])
-    def test_batch_proposals_are_distinct(self, liar):
-        """q=4 fantasized suggestions per batch are all different."""
-        optimizer, space = self._warmed(liar)
+    def test_batch_proposals_are_distinct(self):
+        """q=4 constant-liar suggestions per batch are all different."""
+        optimizer, space = self._warmed()
         batch = optimizer.ask_batch(4)
         assert len(batch) == 4
         encoded = {space.encode(config).tobytes() for config in batch}
@@ -191,7 +189,7 @@ class TestBayesianFantasies:
             space.validate(config)
 
     def test_pending_resolved_by_tell(self):
-        optimizer, space = self._warmed("constant")
+        optimizer, space = self._warmed()
         batch = optimizer.ask_batch(3)
         assert optimizer.telemetry["fantasies_active"] == 3
         for config in batch:
@@ -199,6 +197,13 @@ class TestBayesianFantasies:
         assert optimizer.telemetry["fantasies_active"] == 0
 
     def test_unknown_liar_rejected(self):
-        _, space = _make("bo")
-        with pytest.raises(ValueError):
+        """Only the constant liar exists: the option is gone and a state
+        saved with another liar is refused."""
+        optimizer, space = _make("bo")
+        with pytest.raises(TypeError):
             BayesianOptimizer(space, liar="optimist")
+        for liar in ("mean", "optimist"):
+            with pytest.raises(ValueError, match="liar"):
+                BayesianOptimizer.from_state_dict(
+                    {**optimizer.state_dict(), "liar": liar}
+                )

@@ -17,14 +17,13 @@ def test_synthetic_study_with_process_pool():
         conditions=[CONDITIONS[0]],
         sizes=["small"],
         strategies=["pla", "bo"],
-        n_jobs=1,
     ).run()
     parallel = SyntheticStudy(
         TINY,
         conditions=[CONDITIONS[0]],
         sizes=["small"],
         strategies=["pla", "bo"],
-        n_jobs=2,
+        workers=2,
     ).run()
     assert set(parallel.results) == set(serial.results)
     for key in serial.results:
@@ -33,12 +32,7 @@ def test_synthetic_study_with_process_pool():
 
 
 def test_sundog_study_with_process_pool():
-    study = SundogStudy(TINY, arms=[("pla", "h"), ("bo", "h")], n_jobs=2).run()
+    study = SundogStudy(TINY, arms=[("pla", "h"), ("bo", "h")], workers=2).run()
     assert set(study.results) == {("pla", "h"), ("bo", "h")}
     for results in study.results.values():
         assert results[0].n_steps >= 1
-
-
-def test_n_jobs_floor():
-    study = SyntheticStudy(TINY, n_jobs=0)
-    assert study.n_jobs == 1

@@ -8,6 +8,8 @@ to the uninterrupted run.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
 import sqlite3
 import stat
@@ -169,6 +171,23 @@ class TestLoopCheckpointing:
         result = _loop(counting, opt2, db, max_steps=3, seed=1)
         assert len(calls) == n_first  # nothing re-evaluated
         assert result.metadata["resumed_steps"] == 3
+
+    @pytest.mark.parametrize(
+        "changed, named",
+        [({"seed": 2}, "seed=2"), ({"strategy_name": "other"}, "strategy='other'")],
+    )
+    def test_checkpoint_of_another_run_is_refused(self, tmp_path, changed, named):
+        db = tmp_path / "run.db"
+        _loop(_objective, BayesianOptimizer(_space(), seed=0), db,
+              max_steps=2, seed=1)
+        before = hashlib.sha256(db.read_bytes()).hexdigest()
+        kwargs = {"max_steps": 4, "seed": 1, **changed}
+        with pytest.raises(ValueError, match="resume/cell/pass0") as err:
+            _loop(_objective, BayesianOptimizer(_space(), seed=0), db, **kwargs)
+        # Both values are named: the checkpoint's and this run's.
+        assert "seed=1 strategy='BayesianOptimizer'" in str(err.value)
+        assert named in str(err.value)
+        assert hashlib.sha256(db.read_bytes()).hexdigest() == before
 
 
 @pytest.mark.slow
@@ -404,6 +423,52 @@ class TestStudyCheckpointing:
         )
         assert again[0].metadata["pass"] == 0
 
+    def test_store_refuses_another_seeds_cells(self, tmp_path):
+        """A store holds one campaign: re-running it under another seed
+        fails the cell instead of serving the first seed's runs."""
+        db = tmp_path / "s.db"
+
+        def study(seed):
+            return SyntheticStudy(
+                _tiny_budget(), seed=seed, checkpoint_dir=str(db),
+                conditions=CONDITIONS[:1], sizes=("small",),
+                strategies=("bo",),
+            )
+
+        study(0).run()
+        before = hashlib.sha256(db.read_bytes()).hexdigest()
+        with pytest.raises(StudyError) as err:
+            study(1).run()
+        ((label, detail),) = err.value.failures
+        assert label == f"{CONDITIONS[0].label}/small/bo"
+        assert f"sqlite:{db}::synthetic/{label}/results" in detail
+        seed0 = SyntheticCellSpec(
+            size="small", condition=CONDITIONS[0], strategy="bo",
+            budget=_tiny_budget(), seed=0,
+        ).base_seed()
+        seed1 = study(1).specs()[0].base_seed()
+        assert f"[({seed0}, 3, 2)]" in detail
+        assert f"[({seed1}, 3, 2)]" in detail
+        assert hashlib.sha256(db.read_bytes()).hexdigest() == before
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            Budget(steps=3, steps_extended=3, baseline_steps=4, passes=1,
+                   repeat_best=2),
+            Budget(steps=3, steps_extended=3, baseline_steps=3, passes=2,
+                   repeat_best=2),
+            Budget(steps=3, steps_extended=3, baseline_steps=3, passes=1,
+                   repeat_best=3),
+        ],
+        ids=["max_steps", "passes", "repeat_best"],
+    )
+    def test_finished_cell_of_another_budget_is_refused(self, tmp_path, budget):
+        run_cell(self._spec(tmp_path))
+        spec = dataclasses.replace(self._spec(tmp_path), budget=budget)
+        with pytest.raises(ValueError, match="this cell expects"):
+            run_cell(spec)
+
     def test_serial_study_opens_its_store_once_and_closes_it(
         self, tmp_path, monkeypatch
     ):
@@ -547,3 +612,16 @@ class TestCliResume:
         assert main(["fig5", "--resume", str(resume_dir)]) == 0
         second = capsys.readouterr().out
         assert first.splitlines()[-5:] == second.splitlines()[-5:]
+
+    def test_resume_under_another_seed_exits_1_and_keeps_the_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        self._tiny(monkeypatch)
+        db = tmp_path / "fig5.db"
+        assert main(["fig5", "--resume", str(db)]) == 0
+        before = hashlib.sha256(db.read_bytes()).hexdigest()
+        assert main(["fig5", "--resume", str(db), "--seed", "1"]) == 1
+        assert "failed cells" in capsys.readouterr().out
+        assert hashlib.sha256(db.read_bytes()).hexdigest() == before
